@@ -18,12 +18,13 @@ pins down exactly which half broke.
 """
 
 import multiprocessing
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .categories import build_category
 from .errors import BasisMismatchError
-from .posets import moebius, order_poset
+from .posets import order_data
 from .reports import jsonable
 
 SEMIGROUP = "semigroup"
@@ -97,7 +98,7 @@ def _mul_table(table, u, v):
         row = table[i]
         for j, cj in v.items():
             k = row[j]
-            acc[k] = acc.get(k, Fraction(0)) + ci * cj
+            acc[k] = acc.get(k, 0) + ci * cj
     return {k: c for k, c in acc.items() if c != 0}
 
 
@@ -110,7 +111,7 @@ def _mul_partial(table, cod, dom, u, v):
             if ci_cod != dom[j]:
                 continue
             k = row[j]
-            acc[k] = acc.get(k, Fraction(0)) + ci * cj
+            acc[k] = acc.get(k, 0) + ci * cj
     return {k: c for k, c in acc.items() if c != 0}
 
 
@@ -130,21 +131,15 @@ def mul_category(C, u, v) -> AlgebraElement:
     return element(CATEGORY, _mul_partial(C.table, C.cod, C.dom, u.coeffs, v.coeffs))
 
 
-def _down_sets(ES, order):
-    leq = ES.leq_r if order == "r" else ES.leq_l
-    n = ES.n
-    return [[b for b in range(n) if leq[b][a]] for a in range(n)]
-
-
 def phi(ES, C, u, order="r") -> AlgebraElement:
     """Down-set sum into the category algebra, extended linearly."""
     if u.basis != SEMIGROUP:
         raise BasisMismatchError(SEMIGROUP, u.basis)
-    down = _down_sets(ES, order)
+    down = order_data(ES, order).down
     acc = {}
     for a, ca in u.coeffs.items():
         for b in down[a]:
-            acc[b] = acc.get(b, Fraction(0)) + ca
+            acc[b] = acc.get(b, 0) + ca
     return element(CATEGORY, acc)
 
 
@@ -152,12 +147,11 @@ def psi(ES, C, u, order="r") -> AlgebraElement:
     """Moebius-weighted down-set sum into the semigroup algebra."""
     if u.basis != CATEGORY:
         raise BasisMismatchError(CATEGORY, u.basis)
-    down = _down_sets(ES, order)
-    mu = moebius(order_poset(ES, order))
+    terms = order_data(ES, order).psi_terms
     acc = {}
     for x, cx in u.coeffs.items():
-        for y in down[x]:
-            acc[y] = acc.get(y, Fraction(0)) + cx * mu(y, x)
+        for y, m in terms[x].items():
+            acc[y] = acc.get(y, 0) + cx * m
     return element(SEMIGROUP, acc)
 
 
@@ -201,6 +195,11 @@ class IsoReport:
         }
 
 
+def _rational(coeffs):
+    """Integer coefficients as the Fractions that reports render."""
+    return {k: Fraction(v) for k, v in coeffs.items()}
+
+
 def _hom_sweep(table, cod, dom, phis, a_range):
     case1, case2 = [], []
     n = len(table)
@@ -235,33 +234,29 @@ def verify_isomorphism(ES, order="r", workers=1) -> IsoReport:
     n = ES.n
     C = build_category(ES)
     table, cod, dom = ES.S.table, C.cod, C.dom
-    down = _down_sets(ES, order)
-    mu = moebius(order_poset(ES, order))
-    phis = [{b: Fraction(1) for b in down[a]} for a in range(n)]
-    psis = [
-        {y: mu(y, x) for y in down[x] if mu(y, x) != 0}
-        for x in range(n)
-    ]
+    data = order_data(ES, order)
+    phis = [dict.fromkeys(data.down[a], 1) for a in range(n)]
+    psis = data.psi_terms
 
     bijection_witness = None
     for a in range(n):
         acc = {}
-        for x, cx in phis[a].items():
+        for x in phis[a]:
             for y, cy in psis[x].items():
-                acc[y] = acc.get(y, Fraction(0)) + cx * cy
+                acc[y] = acc.get(y, 0) + cy
         acc = {k: v for k, v in acc.items() if v != 0}
-        if acc != {a: Fraction(1)}:
-            bijection_witness = {"direction": "psi(phi(a))", "a": a, "got": acc}
+        if acc != {a: 1}:
+            bijection_witness = {"direction": "psi(phi(a))", "a": a, "got": _rational(acc)}
             break
     if bijection_witness is None:
         for x in range(n):
             acc = {}
             for y, cy in psis[x].items():
-                for b, cb in phis[y].items():
-                    acc[b] = acc.get(b, Fraction(0)) + cy * cb
+                for b in phis[y]:
+                    acc[b] = acc.get(b, 0) + cy
             acc = {k: v for k, v in acc.items() if v != 0}
-            if acc != {x: Fraction(1)}:
-                bijection_witness = {"direction": "phi(psi(x))", "x": x, "got": acc}
+            if acc != {x: 1}:
+                bijection_witness = {"direction": "phi(psi(x))", "x": x, "got": _rational(acc)}
                 break
 
     if workers > 1:
@@ -279,10 +274,10 @@ def verify_isomorphism(ES, order="r", workers=1) -> IsoReport:
             "a": a,
             "b": b,
             "ab": table[a][b],
-            "phi_a": phis[a],
-            "phi_b": phis[b],
-            "phi_ab": phis[table[a][b]],
-            "phi_a_phi_b": _mul_partial(table, cod, dom, phis[a], phis[b]),
+            "phi_a": _rational(phis[a]),
+            "phi_b": _rational(phis[b]),
+            "phi_ab": _rational(phis[table[a][b]]),
+            "phi_a_phi_b": _rational(_mul_partial(table, cod, dom, phis[a], phis[b])),
         }
 
     case1_count = sum(1 for a in range(n) for b in range(n) if cod[a] == dom[b])
@@ -302,7 +297,8 @@ def verify_isomorphism(ES, order="r", workers=1) -> IsoReport:
 def _parallel_sweep(table, cod, dom, phis, workers):
     global _POOL_ARGS
     n = len(table)
-    chunks = [range(w, n, workers) for w in range(min(workers, n))]
+    size = min(workers, n, os.cpu_count() or 1)
+    chunks = [range(w, n, size) for w in range(size)]
     try:
         ctx = multiprocessing.get_context("fork")
     except ValueError:

@@ -22,14 +22,7 @@ from .ehresmann import (
 )
 from .errors import SemicatError
 from .reports import jsonable
-from .reptheory import (
-    ei_report,
-    radical_oracle,
-    radical_span,
-    reg_e,
-    semigroup_mul,
-    semisimple_image_check,
-)
+from .reptheory import ei_report, radical_span, semisimple_image_check
 from .semigroups import from_interchange, is_subsemilattice
 from .zoo import parse_zoo_spec
 
@@ -206,19 +199,19 @@ def cmd_rep(args):
     _maybe_emit_category(args, ES)
 
     C = build_category(ES)
-    reg = reg_e(ES)
     ei = ei_report(ES, C)
-    rad_dim, _ = radical_oracle(ES.n, semigroup_mul(ES.S))
+    # computes Reg_E and the radical of QS once for the whole report
+    semi = semisimple_image_check(ES, C, order=args.order, allow_outside_theorem=True)
     payload = {
-        "reg_e_size": len(reg.elements),
+        "reg_e_size": semi.reg_size,
         "is_EI": ei.is_ei,
-        "radical_dim": rad_dim,
+        "radical_dim": semi.radical_dim_s,
         "ei": ei.to_json(),
     }
     passed = True
-    _status(True, "reg_e", f"size {len(reg.elements)}, inverse subsemigroup verified")
+    _status(True, "reg_e", f"size {semi.reg_size}, inverse subsemigroup verified")
     _status(True, "is_EI", str(ei.is_ei))
-    print(f"INFO  radical_dim(QS) = {rad_dim}")
+    print(f"INFO  radical_dim(QS) = {semi.radical_dim_s}")
 
     if ei.is_ei:
         rad = radical_span(ES, C)
@@ -229,7 +222,6 @@ def cmd_rep(args):
                 f"{rad.claimed_dim} non-invertible vs oracle {rad.oracle_dim}, "
                 f"nilpotency index {rad.nilpotency_index}")
 
-    semi = semisimple_image_check(ES, C, order=args.order, allow_outside_theorem=True)
     payload["semisimple"] = semi.to_json()
     payload["semisimple_check"] = semi.semisimple_check
     if semi.outside_theorem:

@@ -1,11 +1,12 @@
 """Finite posets and Moebius inversion over exact rationals."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import NotAPosetError
+from .linalg import INT64_SAFE
 
 
 def poset_violation(leq):
@@ -55,31 +56,44 @@ def poset_from_matrix(leq) -> FinitePoset:
 @dataclass(frozen=True)
 class MoebiusCache:
     values: dict  # (x, y) with x <= y -> Fraction
+    matrix: np.ndarray = field(repr=False, compare=False)  # mu(x, y) as integers
 
     def __call__(self, x, y):
         return self.values[(x, y)]
 
 
-def moebius(P) -> MoebiusCache:
-    """Moebius function of a finite poset.
+def _inverse_zeta(leq, dtype):
+    """Integer inverse of the zeta matrix leq, one column per element.
 
-    mu(x, x) = 1 and mu(x, y) = -sum of mu(x, z) over x <= z < y, computed
-    over comparable pairs in order of interval size.  Values are integers,
-    stored as exact rationals.
+    mu(x, y) = [x = y] - sum of mu(x, z) over z < y, with y running through a
+    linear extension (by down-set size), so every column it reads is final.
     """
-    values = {}
-    for x in range(P.m):
-        above = [y for y in range(P.m) if P.leq[x][y]]
-        above.sort(key=lambda y: (len(P.interval(x, y)), y))
-        for y in above:
-            if y == x:
-                values[(x, y)] = Fraction(1)
-            else:
-                values[(x, y)] = -sum(
-                    (values[(x, z)] for z in P.interval(x, y) if z != y),
-                    Fraction(0),
-                )
-    return MoebiusCache(values)
+    m = len(leq)
+    mu = np.zeros((m, m), dtype=dtype)
+    for y in np.argsort(leq.sum(axis=0), kind="stable"):
+        below = np.flatnonzero(leq[:, y])
+        column = -mu[:, below[below != y]].sum(axis=1)
+        column[y] += 1
+        mu[:, y] = column
+    return mu
+
+
+def moebius(P) -> MoebiusCache:
+    """Moebius function of a finite poset: the inverse of its zeta matrix.
+
+    The inverse is computed in int64 and accepted once Z M = I is verified
+    exactly there (no entry of M times m may reach INT64_SAFE); otherwise it
+    is recomputed in Python ints, where no check is needed.  Values are
+    integers, exposed as exact rationals.
+    """
+    leq = np.array(P.leq, dtype=bool).reshape(P.m, P.m)
+    mu = _inverse_zeta(leq, np.int64)
+    largest = max(int(mu.max(initial=0)), -int(mu.min(initial=0)))
+    if not (P.m * largest < INT64_SAFE
+            and (leq.astype(np.int64) @ mu == np.eye(P.m, dtype=np.int64)).all()):
+        mu = _inverse_zeta(leq, object)
+    values = {(int(x), int(y)): Fraction(int(mu[x, y])) for x, y in np.argwhere(leq)}
+    return MoebiusCache(values, mu)
 
 
 def sum_down(P, f):
@@ -105,3 +119,27 @@ def order_poset(structure, order="r") -> FinitePoset:
         raise ValueError("order must be 'r' or 'l'")
     leq = structure.leq_r if order == "r" else structure.leq_l
     return poset_from_matrix(leq)
+
+
+@dataclass(frozen=True)
+class OrderData:
+    """One natural order of a structure, as phi and psi read it."""
+    down: tuple      # down[x]: the y <= x, ascending
+    psi_terms: tuple  # psi_terms[x]: {y: mu(y, x)} over y <= x with mu(y, x) != 0, ints
+
+
+def order_data(structure, order="r") -> OrderData:
+    """Down-sets and Moebius values of one natural order, once per structure.
+
+    The result is kept in the structure's instance dictionary (a frozen
+    dataclass still has one), so later calls for the same structure and order
+    read the same copy.
+    """
+    cache = vars(structure).setdefault("_order_data", {})
+    if order not in cache:
+        P = order_poset(structure, order)
+        mu = moebius(P).matrix
+        down = tuple(tuple(int(y) for y in np.flatnonzero(col)) for col in np.array(P.leq).T)
+        psi_terms = tuple({y: int(mu[y, x]) for y in down[x] if mu[y, x]} for x in range(P.m))
+        cache[order] = OrderData(down, psi_terms)
+    return cache[order]

@@ -4,12 +4,12 @@ The radical oracle uses the characteristic-zero criterion: an element lies in
 the Jacobson radical of a finite-dimensional rational algebra A exactly when
 the trace of left multiplication vanishes on x*A and on x itself.  The extra
 single-trace condition makes the criterion valid without a unit (it is
-redundant whenever A is unital).  Everything is computed by exact rational
-elimination; there are no tolerances anywhere.
+redundant whenever A is unital).  Everything is exact: the trace form has
+integer entries and linalg certifies every modular answer or falls back to
+rational elimination; there are no tolerances anywhere.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebras import basis_element, psi
 from .errors import (
@@ -200,7 +200,7 @@ def semigroup_mul(S):
     t = S.table
 
     def mul(i, j):
-        return {t[i][j]: Fraction(1)}
+        return {t[i][j]: 1}
 
     return mul
 
@@ -212,7 +212,7 @@ def category_mul(C):
     def mul(i, j):
         if cod[i] != dom[j]:
             return {}
-        return {t[i][j]: Fraction(1)}
+        return {t[i][j]: 1}
 
     return mul
 
@@ -225,13 +225,11 @@ def radical_oracle(dim, mul):
     the algebra has no unit), and returns (dimension, basis) of the exact
     nullspace.
     """
-    traces = [Fraction(0)] * dim
     prods = [[mul(i, j) for j in range(dim)] for i in range(dim)]
-    for k in range(dim):
-        traces[k] = sum((prods[k][l].get(l, Fraction(0)) for l in range(dim)), Fraction(0))
+    traces = [sum(prods[k][l].get(l, 0) for l in range(dim)) for k in range(dim)]
 
     def trace_of(combo):
-        return sum((c * traces[k] for k, c in combo.items()), Fraction(0))
+        return sum(c * traces[k] for k, c in combo.items())
 
     equations = [[trace_of(prods[i][j]) for i in range(dim)] for j in range(dim)]
     equations.append([traces[i] for i in range(dim)])
@@ -376,8 +374,8 @@ def semisimple_image_check(ES, C, order="r", allow_outside_theorem=False) -> Sem
 
     rows = [list(v) for v in rad_basis]
     for a in reg.elements:
-        row = [Fraction(0)] * n
-        row[a] = Fraction(1)
+        row = [0] * n
+        row[a] = 1
         rows.append(row)
     projection_full_rank = rank(rows) == rad_dim + len(reg.elements)
 
@@ -391,7 +389,7 @@ def semisimple_image_check(ES, C, order="r", allow_outside_theorem=False) -> Sem
         if any(k not in reg_set for k in image.coeffs):
             in_span = False
             break
-        row = [Fraction(0)] * len(reg.elements)
+        row = [0] * len(reg.elements)
         for k, v in image.coeffs.items():
             row[pos[k]] = v
         psi_rows.append(row)

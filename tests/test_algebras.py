@@ -1,3 +1,5 @@
+import multiprocessing
+import os
 import random
 from fractions import Fraction
 
@@ -189,6 +191,30 @@ def test_workers_give_identical_reports(b2):
     serial = verify_isomorphism(b2, workers=1)
     parallel = verify_isomorphism(b2, workers=3)
     assert serial.to_json() == parallel.to_json()
+
+
+def test_worker_pool_is_capped_at_cpu_count(b2, monkeypatch):
+    # a stand-in Pool records its size and maps in this process: nothing forks
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, size):
+            sizes.append(size)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, chunks):
+            return [fn(chunk) for chunk in chunks]
+
+    monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    capped = verify_isomorphism(b2, workers=1000)
+    assert sizes == [2]
+    assert capped.to_json() == verify_isomorphism(b2).to_json()
 
 
 def test_unit_is_two_sided_identity(pt2):

@@ -1,8 +1,12 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from semicat import to_interchange
+from semicat import reptheory, to_interchange
 from semicat import zoo
 from semicat.cli import main
 
@@ -174,3 +178,45 @@ def test_bad_zoo_spec_is_input_error(capsys):
 def test_order_flag_is_validated(capsys):
     with pytest.raises(SystemExit):
         main(["iso", "--zoo", "pt:2", "--order", "x"])
+
+
+# SHA-256 of the --report bytes of `semicat <command> --zoo <spec> --report PATH`,
+# recorded from the original Fraction-elimination implementation.  `iso six` and
+# `iso b:2` fail, so their reports carry Fraction-rendered witness expansions.
+GOLDEN_REPORTS = {
+    ("check", "six"): (0, "3f89068b7cf44b15b7296c71aed04fc741c7b8161732f7428a39517bc5145d48"),
+    ("iso", "six"): (1, "2fa8115d5fe20bc03b97e4401ca437dde92f7f908436fe8d8dac0decdca9ad21"),
+    ("rep", "six"): (0, "c881963fda18c5678af93c527eeb65b79d5063987a86587b7191767c603ad23e"),
+    ("iso", "b:2"): (1, "ef140f86361b56c121515da22f9d7aecc15182ceb1984488d68a780db0458149"),
+    ("check", "b:2"): (0, "70008b1eff7d9520f5c107ada94e429d325c5a10e6ad7b201feeb702776e04e7"),
+    ("check", "pt:3"): (0, "b844c5c9e3a38027668371df1aeef5230afbecb1c7086a556c5e84d4a9ad1976"),
+    ("iso", "pt:3"): (0, "33966c5d49dc24baf358647775341530c7f864a1c3194364895915542cf646c7"),
+    ("rep", "pt:3"): (0, "dc362898876e5e3db3ac8aa97777c15e55a4b7594c4fa9ab2dff442be474c2f3"),
+}
+
+
+@pytest.mark.parametrize("command,spec", sorted(GOLDEN_REPORTS))
+def test_report_bytes_match_golden_digest(tmp_path, capsys, command, spec):
+    report = tmp_path / "report.json"
+    code, _, _ = run(capsys, command, "--zoo", spec, "--report", str(report))
+    assert (code, hashlib.sha256(report.read_bytes()).hexdigest()) == GOLDEN_REPORTS[(command, spec)]
+
+
+def test_rep_computes_each_radical_once(monkeypatch, capsys):
+    calls = []
+    original = reptheory.radical_oracle
+    monkeypatch.setattr(reptheory, "radical_oracle",
+                        lambda dim, mul: calls.append(dim) or original(dim, mul))
+    code, _, _ = run(capsys, "rep", "--zoo", "pt:2")
+    assert code == 0
+    assert calls == [9, 9]  # QS once in the semisimple check, then QC in the radical span
+
+
+def test_python_dash_m_runs_the_cli():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    done = subprocess.run([sys.executable, "-m", "semicat", "check", "--zoo", "six"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "PASS  category-axioms" in done.stdout

@@ -1,0 +1,121 @@
+"""The certified modular route of linalg against Fraction elimination."""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from semicat import linalg
+from semicat.linalg import PRIME, nullspace, rank, rational_nullspace, rational_rank
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """Records each fallback of nullspace and rank to Fraction elimination.
+
+    The tests call the reference routes through their own imported names,
+    which the spies do not see.
+    """
+    calls = []
+    for name in ("rational_nullspace", "rational_rank"):
+        original = getattr(linalg, name)
+
+        def spy(matrix, name=name, original=original):
+            calls.append(name)
+            return original(matrix)
+
+        monkeypatch.setattr(linalg, name, spy)
+    return calls
+
+
+def product(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+@st.composite
+def integer_matrices(draw):
+    """Random small integer matrices, half of them of rank below min(m, n)."""
+    m, n = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    entries = st.integers(-6, 6)
+    if draw(st.booleans()):
+        return draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=m, max_size=m))
+    k = draw(st.integers(0, min(m, n) - 1))
+    left = draw(st.lists(st.lists(entries, min_size=k, max_size=k), min_size=m, max_size=m))
+    right = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=k, max_size=k))
+    return product(left, right) if k else [[0] * n for _ in range(m)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_matrices())
+def test_fast_paths_match_fraction_elimination(matrix):
+    assert nullspace(matrix) == rational_nullspace(matrix)
+    assert rank(matrix) == rational_rank(matrix)
+
+
+@settings(max_examples=100, deadline=None)
+@given(integer_matrices(), st.integers(1, 12))
+def test_rational_entries_match_fraction_elimination(matrix, den):
+    scaled = [[Fraction(x, den + i) for x in row] for i, row in enumerate(matrix)]
+    assert nullspace(scaled) == rational_nullspace(scaled)
+    assert rank(scaled) == rational_rank(scaled)
+
+
+def test_small_integer_matrices_take_the_fast_path(fallbacks):
+    # a nilpotent Jordan block: kernel <e0>, rank n - 1, all in the fast route
+    block = [[int(j == i + 1) for j in range(6)] for i in range(6)]
+    assert nullspace(block) == [tuple(Fraction(int(c == 0)) for c in range(6))]
+    assert rank([[2, 1], [1, 1]]) == 2
+    assert fallbacks == []
+
+
+def test_vectors_are_the_canonical_echelon_basis(fallbacks):
+    matrix = [[1, 2, 0, 3], [2, 4, 1, 7]]
+    expected = [
+        (Fraction(-2), Fraction(1), Fraction(0), Fraction(0)),
+        (Fraction(-3), Fraction(0), Fraction(-1), Fraction(1)),
+    ]
+    assert nullspace(matrix) == expected
+    assert fallbacks == []
+
+
+def test_entries_that_are_multiples_of_p_fall_back(fallbacks):
+    # mod p the first column vanishes, so e0 looks like a kernel vector; the
+    # exact check refutes it and Fraction elimination answers
+    matrix = [[PRIME, 0], [0, 1]]
+    assert nullspace(matrix) == rational_nullspace(matrix) == []
+    assert rank(matrix) == 2
+    assert fallbacks == ["rational_nullspace", "rational_rank"]
+
+
+def test_unreconstructable_kernel_falls_back(fallbacks):
+    # the kernel is spanned by (10**6, 1): too large for reconstruction mod p
+    matrix = [[1, -10**6]]
+    assert nullspace(matrix) == rational_nullspace(matrix) == [(Fraction(10**6), Fraction(1))]
+    assert fallbacks == ["rational_nullspace"]
+
+
+def test_entries_beyond_int64_are_checked_in_python_ints(fallbacks):
+    big = 2**70
+    matrix = [[big, big, 0], [0, big, big]]
+    assert nullspace(matrix) == rational_nullspace(matrix) == [(1, -1, 1)]
+    assert rank(matrix) == 2
+    assert fallbacks == []
+
+
+def test_tiny_prime_forces_the_fallback_and_agrees(monkeypatch, fallbacks):
+    monkeypatch.setattr(linalg, "PRIME", 3)
+    rng = random.Random(7)
+    for _ in range(200):
+        m, n = rng.randrange(1, 6), rng.randrange(1, 6)
+        matrix = [[rng.randrange(-9, 10) for _ in range(n)] for _ in range(m)]
+        assert nullspace(matrix) == rational_nullspace(matrix)
+        assert rank(matrix) == rational_rank(matrix)
+    assert fallbacks
+
+
+def test_empty_and_zero_width_inputs():
+    assert nullspace([]) == [] and rank([]) == 0
+    assert nullspace([[], []]) == [] and rank([[]]) == 0
+    assert nullspace([[0, 0]]) == [(1, 0), (0, 1)]

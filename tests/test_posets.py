@@ -3,7 +3,20 @@ from fractions import Fraction
 
 import pytest
 
-from semicat import FinitePoset, invert, moebius, order_poset, sum_down
+from semicat import (
+    FinitePoset,
+    basis_element,
+    build_category,
+    invert,
+    moebius,
+    order_poset,
+    psi,
+    semisimple_image_check,
+    sum_down,
+    verify_isomorphism,
+    zoo,
+)
+from semicat import posets
 from semicat.errors import NotAPosetError
 from semicat.posets import poset_from_matrix
 
@@ -42,6 +55,19 @@ def random_poset(rng, m):
                             leq[x][z] = True
                             changed = True
     return poset_from_matrix(leq)
+
+
+def reference_moebius(P):
+    """mu(x, x) = 1 and mu(x, y) = -sum of mu(x, z) over x <= z < y, by interval size."""
+    values = {}
+    for x in range(P.m):
+        above = [y for y in range(P.m) if P.leq[x][y]]
+        above.sort(key=lambda y: (len(P.interval(x, y)), y))
+        for y in above:
+            values[(x, y)] = 1 if y == x else -sum(
+                values[(x, z)] for z in P.interval(x, y) if z != y
+            )
+    return values
 
 
 def test_poset_rejects_non_reflexive():
@@ -96,6 +122,41 @@ def test_moebius_recursion_and_integrality_on_random_posets():
             assert v.denominator == 1
             total = sum(mu(x, z) for z in P.interval(x, y))
             assert total == (1 if x == y else 0)
+
+
+def test_zeta_inverse_matches_interval_recursion_on_random_posets():
+    rng = random.Random(5)
+    for _ in range(200):
+        P = random_poset(rng, rng.randrange(0, 12))
+        mu = moebius(P)
+        assert mu.values == reference_moebius(P)
+        assert all(isinstance(v, Fraction) for v in mu.values.values())
+
+
+def test_python_int_route_when_int64_cannot_be_certified(monkeypatch):
+    # with no int64 headroom the inverse is recomputed in Python ints
+    monkeypatch.setattr(posets, "INT64_SAFE", 1)
+    rng = random.Random(6)
+    for _ in range(50):
+        P = random_poset(rng, rng.randrange(1, 10))
+        mu = moebius(P)
+        assert mu.matrix.dtype == object
+        assert mu.values == reference_moebius(P)
+
+
+def test_order_data_is_computed_once_per_structure_and_order(monkeypatch):
+    es = zoo.pt_n(2)
+    C = build_category(es)
+    calls = []
+    original = posets.moebius
+    monkeypatch.setattr(posets, "moebius", lambda P: calls.append(P) or original(P))
+    for x in range(es.n):
+        psi(es, C, basis_element("category", x))
+    verify_isomorphism(es)
+    semisimple_image_check(es, C)
+    assert len(calls) == 1
+    verify_isomorphism(es, order="l")
+    assert len(calls) == 2
 
 
 def test_inversion_roundtrip_on_random_rational_functions():
