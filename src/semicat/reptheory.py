@@ -28,8 +28,17 @@ def invertible_morphisms(ES, C) -> tuple:
     """Morphisms with a two-sided inverse: exactly {a : a+ R a and a L a*}.
 
     Both the Green-relation characterization and a brute-force inverse search
-    are computed and compared; a mismatch is an implementation bug.
+    are computed and compared; a mismatch is an implementation bug.  The
+    result depends on ES alone and is kept in its instance dictionary, so
+    later calls for the same structure read the same copy.
     """
+    cache = vars(ES)
+    if "_invertible_morphisms" not in cache:
+        cache["_invertible_morphisms"] = _invertible_morphisms(ES)
+    return cache["_invertible_morphisms"]
+
+
+def _invertible_morphisms(ES):
     g = green(ES.S)
     n, t = ES.n, ES.S.table
     by_green = tuple(

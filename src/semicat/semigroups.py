@@ -87,8 +87,17 @@ def green(S) -> GreenData:
     """Green's relations via principal one-sided ideals.
 
     a R b iff aS^1 = bS^1, a L b iff S^1 a = S^1 b, H = R meet L, and D is
-    the join of R and L (equal to R o L on a finite semigroup).
+    the join of R and L (equal to R o L on a finite semigroup).  The result
+    is kept in the semigroup's instance dictionary, so later calls for the
+    same semigroup read the same copy.
     """
+    cache = vars(S)
+    if "_green" not in cache:
+        cache["_green"] = _green(S)
+    return cache["_green"]
+
+
+def _green(S) -> GreenData:
     n, t = S.n, S.table
     rn = range(n)
     right_ideals = [frozenset([a]).union(t[a][x] for x in rn) for a in rn]

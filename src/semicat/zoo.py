@@ -13,7 +13,7 @@ Conventions, fixed so that element indices in golden files stay stable:
   component-major order.
 """
 
-from itertools import product as iproduct
+import numpy as np
 
 from .ehresmann import EhresmannStructure, derive_structure
 from .errors import IncompatibleMapsError, NotClosedError
@@ -35,45 +35,59 @@ def _pt_name(vec, n):
     return "(" + ",".join("-" if v == n else str(v + 1) for v in vec) + ")"
 
 
-def _pt_table(n, vectors):
-    index = {v: i for i, v in enumerate(vectors)}
-    table = []
-    for f in vectors:
-        row = []
-        for g in vectors:
-            fg = tuple(g[f[x]] if f[x] != n else n for x in range(n))
-            row.append(index[fg])
-        table.append(row)
-    return table, index
+def _all_vectors(n, k):
+    """Every vector in range(k)^n, one per row, in lexicographic order."""
+    return np.arange(k ** n)[:, None] // k ** np.arange(n - 1, -1, -1) % k
+
+
+def _compose_vectors(vectors, n):
+    """Dense index table of partial maps given by image vectors (undefined = n).
+
+    Row i of `vectors` is element i.  The product (f*g)(x) = g(f(x)) is
+    encoded in base n+1, one point x at a time, into an (m, m) buffer and
+    mapped back to element indices, so no (m, m, n) intermediate is built.
+    Raises NotClosedError on the first product outside the given maps.
+    """
+    m, base = len(vectors), n + 1
+    index = np.full(base ** n, -1, dtype=np.int32)
+    index[vectors @ base ** np.arange(n - 1, -1, -1)] = np.arange(m)
+    # images[y, g] = g(y), with an extra row keeping "undefined" undefined
+    images = np.vstack([vectors.T, np.full(m, n)]).astype(np.int32)
+    code = np.zeros((m, m), dtype=np.int32)
+    for x in range(n):
+        code *= base
+        code += images[vectors[:, x]]
+    table = index[code]
+    if (table < 0).any():
+        a, b = np.argwhere(table < 0)[0]
+        raise NotClosedError("product", (int(a), int(b)))
+    return table
+
+
+def _partial_identities(vectors, n):
+    """Indices of the rows that fix every point of their domain."""
+    fixed = (vectors == np.arange(n)) | (vectors == n)
+    return np.flatnonzero(fixed.all(axis=1)).tolist()
+
+
+def _maps_semigroup(vectors, n):
+    table = _compose_vectors(vectors, n)
+    return validate(table.tolist(), [_pt_name(v, n) for v in vectors.tolist()])
 
 
 def pt_n(n) -> EhresmannStructure:
     """All partial functions on n points; E is the partial identities."""
     if not 1 <= n <= PT_MAX:
         raise ValueError(f"pt_n supports 1 <= n <= {PT_MAX}")
-    vectors = list(iproduct(range(n + 1), repeat=n))
-    table, index = _pt_table(n, vectors)
-    names = tuple(_pt_name(v, n) for v in vectors)
-    S = validate(table, names)
-    identities = [
-        index[tuple(x if x in A else n for x in range(n))]
-        for A in _subsets(range(n))
-    ]
-    return derive_structure(S, identities)
+    vectors = _all_vectors(n, n + 1)
+    return derive_structure(_maps_semigroup(vectors, n), _partial_identities(vectors, n))
 
 
 def t_n(n) -> FiniteSemigroup:
     """All total functions on n points; a building block, no distinguished E."""
     if not 1 <= n <= T_MAX:
         raise ValueError(f"t_n supports 1 <= n <= {T_MAX}")
-    vectors = list(iproduct(range(n), repeat=n))
-    index = {v: i for i, v in enumerate(vectors)}
-    table = [
-        [index[tuple(g[f[x]] for x in range(n))] for g in vectors]
-        for f in vectors
-    ]
-    names = tuple(_pt_name(v, n) for v in vectors)
-    return validate(table, names)
+    return _maps_semigroup(_all_vectors(n, n), n)
 
 
 def _subsets(points):
@@ -234,33 +248,28 @@ def six_element_example() -> EhresmannStructure:
 def order_preserving_pt(n, leq=None) -> EhresmannStructure:
     """Order-preserving partial maps on n points, by default along the chain.
 
-    The subset is validated to be closed under the product and both unary
-    maps before the structure is derived.
+    `leq` is an n x n boolean matrix; a map is kept when every pair x <= y
+    inside its domain goes to a pair f(x) <= f(y).  Only the kept maps are
+    composed: a product outside them raises NotClosedError (via the index
+    map), `validate` checks associativity of the kept table, and
+    `derive_structure` checks that + and * are defined and satisfy the
+    Ehresmann identities.  PT_n itself is never built.
     """
     if not 1 <= n <= PT_MAX:
         raise ValueError(f"order_preserving_pt supports 1 <= n <= {PT_MAX}")
     if leq is None:
         leq = [[x <= y for y in range(n)] for x in range(n)]
-    full = pt_n(n)
-    vectors = list(iproduct(range(n + 1), repeat=n))
-
-    def preserves(vec):
-        dom = [x for x in range(n) if vec[x] != n]
-        return all(
-            leq[vec[x]][vec[y]]
-            for x in dom for y in dom
-            if leq[x][y]
-        )
-
-    keep = [i for i, v in enumerate(vectors) if preserves(v)]
-    kept = set(keep)
-    for op, mapping in (("plus", full.plus), ("star", full.star)):
-        for a in keep:
-            if mapping[a] not in kept:
-                raise NotClosedError(op, a)
-    S = subsemigroup(full.S, keep)  # raises NotClosedError("product", ...) if open
-    E = [keep.index(e) for e in full.E if e in kept]
-    return derive_structure(S, E)
+    elif len(leq) != n or any(len(row) != n for row in leq):
+        raise ValueError(f"leq must be an {n}x{n} matrix")
+    # row and column n stand for "undefined", which constrains nothing
+    images_leq = np.ones((n + 1, n + 1), dtype=bool)
+    images_leq[:n, :n] = np.asarray(leq, dtype=bool)
+    vectors = _all_vectors(n, n + 1)
+    keep = np.ones(len(vectors), dtype=bool)
+    for x, y in np.argwhere(images_leq[:n, :n]):
+        keep &= images_leq[vectors[:, x], vectors[:, y]]
+    vectors = vectors[keep]
+    return derive_structure(_maps_semigroup(vectors, n), _partial_identities(vectors, n))
 
 
 def monoid_as_trivial_e(M) -> EhresmannStructure:

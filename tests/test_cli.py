@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from semicat import reptheory, to_interchange
+from semicat import reptheory, semigroups, to_interchange
 from semicat import zoo
 from semicat.cli import main
 
@@ -192,6 +192,9 @@ GOLDEN_REPORTS = {
     ("check", "pt:3"): (0, "b844c5c9e3a38027668371df1aeef5230afbecb1c7086a556c5e84d4a9ad1976"),
     ("iso", "pt:3"): (0, "33966c5d49dc24baf358647775341530c7f864a1c3194364895915542cf646c7"),
     ("rep", "pt:3"): (0, "dc362898876e5e3db3ac8aa97777c15e55a4b7594c4fa9ab2dff442be474c2f3"),
+    ("check", "op:4"): (0, "8d764b7c5bccfdd87eb7f4a159aee351e233463a74686a21dc5bf7b2515d685e"),
+    ("iso", "op:4"): (0, "e0c62ebae63874d80c7459a00cc913f1603fe1208101b3e6fade3e35af61cab1"),
+    ("rep", "op:4"): (0, "6bbfc13bf63b529914c3f53584586e0b1f14edbf9c52db54c4079d9c9c17dc34"),
 }
 
 
@@ -210,6 +213,17 @@ def test_rep_computes_each_radical_once(monkeypatch, capsys):
     code, _, _ = run(capsys, "rep", "--zoo", "pt:2")
     assert code == 0
     assert calls == [9, 9]  # QS once in the semisimple check, then QC in the radical span
+
+
+def test_rep_computes_green_and_invertibles_once(monkeypatch, capsys):
+    calls = []
+    for module, name in ((semigroups, "_green"), (reptheory, "_invertible_morphisms")):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda x, name=name, original=original: calls.append(name) or original(x))
+    code, _, _ = run(capsys, "rep", "--zoo", "op:3")
+    assert code == 0
+    assert sorted(calls) == ["_green", "_invertible_morphisms"]
 
 
 def test_python_dash_m_runs_the_cli():

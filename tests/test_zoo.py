@@ -1,21 +1,25 @@
+import functools
 import json
 from itertools import product as iproduct
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from semicat import (
     build_category,
+    derive_structure,
     ei_report,
     is_inverse,
     is_left_restriction,
     is_right_restriction,
     is_subsemilattice,
+    subsemigroup,
     to_interchange,
     validate,
 )
 from semicat import zoo
-from semicat.errors import IncompatibleMapsError
+from semicat.errors import IncompatibleMapsError, NotClosedError
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "data" / "classification_golden.json").read_text()
@@ -215,3 +219,130 @@ def test_inverse_members_are_restriction(zoo_members):
     for key, es in zoo_members.items():
         if is_inverse(es.S):
             assert is_left_restriction(es)[0] and is_right_restriction(es)[0], key
+
+
+# Loop-based constructors, kept as the reference the vectorised ones must match.
+
+def reference_pt_table(n, vectors):
+    index = {v: i for i, v in enumerate(vectors)}
+    table = []
+    for f in vectors:
+        row = []
+        for g in vectors:
+            fg = tuple(g[f[x]] if f[x] != n else n for x in range(n))
+            row.append(index[fg])
+        table.append(row)
+    return table, index
+
+
+@functools.cache
+def reference_pt(n):
+    vectors = list(iproduct(range(n + 1), repeat=n))
+    table, index = reference_pt_table(n, vectors)
+    S = validate(table, tuple(zoo._pt_name(v, n) for v in vectors))
+    identities = [
+        index[tuple(x if x in A else n for x in range(n))]
+        for A in zoo._subsets(range(n))
+    ]
+    return derive_structure(S, identities)
+
+
+def reference_t(n):
+    vectors = list(iproduct(range(n), repeat=n))
+    index = {v: i for i, v in enumerate(vectors)}
+    table = [
+        [index[tuple(g[f[x]] for x in range(n))] for g in vectors]
+        for f in vectors
+    ]
+    return validate(table, tuple(zoo._pt_name(v, n) for v in vectors))
+
+
+def reference_op(n, leq=None):
+    """Filter PT_n down to the order-preserving maps and restrict its table."""
+    if leq is None:
+        leq = [[x <= y for y in range(n)] for x in range(n)]
+    full = reference_pt(n)
+    vectors = list(iproduct(range(n + 1), repeat=n))
+
+    def preserves(vec):
+        dom = [x for x in range(n) if vec[x] != n]
+        return all(
+            leq[vec[x]][vec[y]]
+            for x in dom for y in dom
+            if leq[x][y]
+        )
+
+    keep = [i for i, v in enumerate(vectors) if preserves(v)]
+    kept = set(keep)
+    for op, mapping in (("plus", full.plus), ("star", full.star)):
+        for a in keep:
+            if mapping[a] not in kept:
+                raise NotClosedError(op, a)
+    S = subsemigroup(full.S, keep)
+    E = [keep.index(e) for e in full.E if e in kept]
+    return derive_structure(S, E)
+
+
+def structure_fields(es):
+    return (es.S.table, es.S.names, es.E, es.plus, es.star, es.leq_r, es.leq_l)
+
+
+def antichain(n):
+    return [[x == y for y in range(n)] for x in range(n)]
+
+
+# one bottom (point 0) below two incomparable tops (points 1 and 2)
+V_POSET = [[True, True, True], [False, True, False], [False, False, True]]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_pt_n_matches_loop_reference(n):
+    assert structure_fields(zoo.pt_n(n)) == structure_fields(reference_pt(n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_t_n_matches_loop_reference(n):
+    got, want = zoo.t_n(n), reference_t(n)
+    assert (got.table, got.names) == (want.table, want.names)
+
+
+@pytest.mark.parametrize("n,leq", [
+    (1, None), (2, None), (3, None), (4, None),
+    (2, antichain(2)), (3, antichain(3)), (3, V_POSET),
+])
+def test_order_preserving_pt_matches_filtered_reference(n, leq):
+    got = zoo.order_preserving_pt(n, leq)
+    assert structure_fields(got) == structure_fields(reference_op(n, leq))
+
+
+def test_op4_composes_only_the_kept_maps(monkeypatch):
+    def no_pt_n(n):
+        raise AssertionError("order_preserving_pt built PT_n")
+
+    shapes = []
+    original = zoo.validate
+
+    def spy(table, names=None):
+        shapes.append((len(table), {len(row) for row in table}))
+        return original(table, names)
+
+    monkeypatch.setattr(zoo, "pt_n", no_pt_n)
+    monkeypatch.setattr(zoo, "validate", spy)
+    assert zoo.order_preserving_pt(4).n == 192
+    assert shapes == [(192, {192})]
+
+
+def test_composing_outside_the_given_maps_is_not_closed():
+    swap = np.array([[1, 0]])  # swap * swap is the identity, which is not given
+    with pytest.raises(NotClosedError):
+        zoo._compose_vectors(swap, 2)
+
+
+@pytest.mark.parametrize("leq", [
+    [[True, True], [False, True]],
+    [[True, True, True], [False, True], [False, False, True]],
+    [[True, True, True, True]] * 3,
+])
+def test_order_preserving_rejects_a_relation_of_the_wrong_shape(leq):
+    with pytest.raises(ValueError, match="3x3"):
+        zoo.order_preserving_pt(3, leq)
