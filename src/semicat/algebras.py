@@ -17,10 +17,10 @@ the composable-pair half of the sweep from the rest so a failure certificate
 pins down exactly which half broke.
 """
 
-import multiprocessing
-import os
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .categories import build_category
 from .errors import BasisMismatchError
@@ -200,25 +200,55 @@ def _rational(coeffs):
     return {k: Fraction(v) for k, v in coeffs.items()}
 
 
-def _hom_sweep(table, cod, dom, phis, a_range):
+def _ranges(starts, lengths):
+    """The concatenation of arange(s, s + l) over paired starts and lengths."""
+    ends = np.cumsum(lengths)
+    return np.repeat(starts - (ends - lengths), lengths) + np.arange(ends[-1] if ends.size else 0)
+
+
+def _pointers(rows, n):
+    """Start offsets of rows 0..n (CSR row pointers) of pairs sorted by row."""
+    return np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+
+
+def _hom_sweep(t, cod, dom, leq):
+    """The pairs (a, b) with phi(a)phi(b) != phi(ab), as (composable, other) lists.
+
+    phi has 0/1 coefficients, so phi(a)phi(b) = phi(ab) holds exactly when the
+    multiset {xy : x <= a, y <= b, cod x = dom y} equals the set {c <= ab}.
+    For each a both sides are encoded as keys b*n + c: the left side, sorted,
+    over every x <= a, every y with dom y = cod x and every b >= y; the right
+    side, sorted by construction, from the down-sets of the row ab.  Rows b
+    whose key counts or keys differ are the failing pairs.  Both lists come
+    out in lexicographic order; memory is the keys of one a.
+    """
+    n = len(t)
+    flat = t.ravel()
+    tops, down = np.nonzero(leq.T)  # down[down_ptr[c]:down_ptr[c + 1]]: the y <= c
+    down_ptr = _pointers(tops, n)
+    down_len = np.diff(down_ptr)
+    below, above = np.nonzero(leq)  # the pairs y <= b, grouped by dom y below
+    by_dom = np.argsort(dom[below], kind="stable")
+    pair_y, pair_b = below[by_dom], above[by_dom] * n
+    pair_ptr = _pointers(dom[pair_y], n)
+    pair_len = np.diff(pair_ptr)
+    block = np.arange(n) * n
     case1, case2 = [], []
-    n = len(table)
-    for a in a_range:
-        pa = phis[a]
-        for b in range(n):
-            lhs = phis[table[a][b]]
-            rhs = _mul_partial(table, cod, dom, pa, phis[b])
-            if lhs != rhs:
-                (case1 if cod[a] == dom[b] else case2).append((a, b))
+    for a in range(n):
+        xs = down[down_ptr[a]:down_ptr[a + 1]]
+        lengths = pair_len[cod[xs]]
+        idx = _ranges(pair_ptr[cod[xs]], lengths)
+        got = np.sort(pair_b[idx] + flat[np.repeat(xs * n, lengths) + pair_y[idx]])
+        wanted = down_len[t[a]]
+        want = np.repeat(block, wanted) + down[_ranges(down_ptr[t[a]], wanted)]
+        if got.size == want.size and np.array_equal(got, want):
+            continue
+        bad = np.bincount(got // n, minlength=n) != wanted
+        got, want = got[~bad[got // n]], want[~bad[want // n]]
+        bad[got[got != want] // n] = True
+        for b in np.flatnonzero(bad).tolist():
+            (case1 if cod[a] == dom[b] else case2).append((a, b))
     return case1, case2
-
-
-_POOL_ARGS = None
-
-
-def _pool_worker(chunk):
-    table, cod, dom, phis = _POOL_ARGS
-    return _hom_sweep(table, cod, dom, phis, chunk)
 
 
 def verify_isomorphism(ES, order="r", workers=1) -> IsoReport:
@@ -227,7 +257,8 @@ def verify_isomorphism(ES, order="r", workers=1) -> IsoReport:
     Bijectivity is checked on every basis element; multiplicativity on every
     basis pair, which suffices by bilinearity.  Pairs are split by whether the
     corresponding morphisms compose (a* = b+); the first failing pair in
-    lexicographic order is expanded into a printable certificate.
+    lexicographic order is expanded into a printable certificate.  `workers`
+    is accepted for compatibility and has no effect.
     """
     if order not in ("r", "l"):
         raise ValueError("order must be 'r' or 'l'")
@@ -259,12 +290,8 @@ def verify_isomorphism(ES, order="r", workers=1) -> IsoReport:
                 bijection_witness = {"direction": "phi(psi(x))", "x": x, "got": _rational(acc)}
                 break
 
-    if workers > 1:
-        case1, case2 = _parallel_sweep(table, cod, dom, phis, workers)
-    else:
-        case1, case2 = _hom_sweep(table, cod, dom, phis, range(n))
-    case1.sort()
-    case2.sort()
+    leq = np.array(ES.leq_r if order == "r" else ES.leq_l, dtype=bool)
+    case1, case2 = _hom_sweep(np.array(table, dtype=np.int64), np.array(cod), np.array(dom), leq)
 
     expansion = None
     failures = sorted(case1 + case2)
@@ -280,7 +307,7 @@ def verify_isomorphism(ES, order="r", workers=1) -> IsoReport:
             "phi_a_phi_b": _rational(_mul_partial(table, cod, dom, phis[a], phis[b])),
         }
 
-    case1_count = sum(1 for a in range(n) for b in range(n) if cod[a] == dom[b])
+    case1_count = int(np.bincount(cod, minlength=n) @ np.bincount(dom, minlength=n))
     return IsoReport(
         order=order,
         n=n,
@@ -292,28 +319,6 @@ def verify_isomorphism(ES, order="r", workers=1) -> IsoReport:
         case1_count=case1_count,
         witness_expansion=expansion,
     )
-
-
-def _parallel_sweep(table, cod, dom, phis, workers):
-    global _POOL_ARGS
-    n = len(table)
-    size = min(workers, n, os.cpu_count() or 1)
-    chunks = [range(w, n, size) for w in range(size)]
-    try:
-        ctx = multiprocessing.get_context("fork")
-    except ValueError:
-        return _hom_sweep(table, cod, dom, phis, range(n))
-    _POOL_ARGS = (table, cod, dom, phis)
-    try:
-        with ctx.Pool(len(chunks)) as pool:
-            parts = pool.map(_pool_worker, chunks)
-    finally:
-        _POOL_ARGS = None
-    case1, case2 = [], []
-    for c1, c2 in parts:
-        case1.extend(c1)
-        case2.extend(c2)
-    return case1, case2
 
 
 def format_element(el, names=None, symbol=None) -> str:

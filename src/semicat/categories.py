@@ -21,6 +21,7 @@ from .errors import (
     NotBelowRangeError,
     NotComposableError,
 )
+from .linalg import exact_matmul
 from .posets import poset_violation
 from .reports import VerificationReport
 from .semigroups import validate
@@ -228,10 +229,10 @@ def verify_axioms(C) -> VerificationReport:
             break
     rep.add("EC5[object-meets]", witness is None, witness)
 
-    r = np.asarray(C.leq_r, dtype=np.int64)
-    l = np.asarray(C.leq_l, dtype=np.int64)
-    rl = (r @ l) > 0
-    lr = (l @ r) > 0
+    r = np.asarray(C.leq_r, dtype=bool)
+    l = np.asarray(C.leq_l, dtype=bool)
+    rl = exact_matmul(r, l) > 0
+    lr = exact_matmul(l, r) > 0
     witness = None
     if not np.array_equal(rl, lr):
         x, y = np.argwhere(rl != lr)[0]

@@ -255,7 +255,8 @@ def build_parser():
                         help="natural order used for phi/psi (default r)")
     common.add_argument("--report", help="write a JSON report to this path")
     common.add_argument("--workers", type=int, default=1,
-                        help="worker processes for the pair sweeps")
+                        help="accepted for compatibility (>= 1) and recorded in the "
+                             "report's config; it has no effect")
     common.add_argument("--emit-category", help="dump the category to this path as JSON")
 
     p = sub.add_parser("check", parents=[common],

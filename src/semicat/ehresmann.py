@@ -124,15 +124,17 @@ def derive_structure(S, E) -> EhresmannStructure:
         for a in cls:
             star[a] = reps[0]
 
-    for a in range(n):
-        for b in range(n):
-            if plus[t[a][b]] != plus[t[a][plus[b]]]:
-                raise CongruenceError("plus", a, b)
-            if star[t[a][b]] != star[t[star[a]][b]]:
-                raise CongruenceError("star", a, b)
+    table, p, s = np.array(t), np.array(plus), np.array(star)
+    bad_plus = p[table] != p[table[:, p]]    # (ab)+ != (ab+)+
+    bad_star = s[table] != s[table[s, :]]    # (ab)* != (a*b)*
+    bad = bad_plus | bad_star
+    if bad.any():
+        a, b = (int(v) for v in np.argwhere(bad)[0])
+        raise CongruenceError("plus" if bad_plus[a, b] else "star", a, b)
 
-    leq_r = tuple(tuple(a == t[plus[a]][b] for b in range(n)) for a in range(n))
-    leq_l = tuple(tuple(a == t[b][star[a]] for b in range(n)) for a in range(n))
+    column = np.arange(n)[:, None]
+    leq_r = tuple(map(tuple, (table[p, :] == column).tolist()))    # a = a+ b
+    leq_l = tuple(map(tuple, (table[:, s].T == column).tolist()))  # a = b a*
     return EhresmannStructure(S, E, tuple(plus), tuple(star), leq_r, leq_l)
 
 

@@ -23,6 +23,27 @@ import numpy as np
 
 PRIME = 2147483629  # largest prime below 2**31: products of residues stay below 2**62
 INT64_SAFE = 2**62  # integer sums and products below this bound cannot overflow int64
+FLOAT64_EXACT = 2**53  # every integer of smaller magnitude is a float64
+
+
+def exact_matmul(a, b):
+    """The integer product a @ b as int64, computed exactly.
+
+    When max|a| * max|b| * k < FLOAT64_EXACT (k the inner dimension), every
+    product and partial sum is an integer float64 represents exactly, in any
+    summation order, so float64 BLAS gives the exact result.  Otherwise the
+    product is taken in int64; the caller keeps that route below INT64_SAFE.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    bound = abs_max(a) * abs_max(b) * a.shape[-1]
+    if bound < FLOAT64_EXACT:
+        return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
+    return a.astype(np.int64) @ b.astype(np.int64)
+
+
+def abs_max(a):
+    """Largest absolute entry as a Python int (0 for an empty array)."""
+    return max(int(a.max(initial=0)), -int(a.min(initial=0)))
 
 
 def row_echelon(rows):

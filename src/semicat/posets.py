@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import NotAPosetError
-from .linalg import INT64_SAFE
+from .linalg import INT64_SAFE, abs_max, exact_matmul
 
 
 def poset_violation(leq):
@@ -24,7 +24,7 @@ def poset_violation(leq):
     if sym.any():
         x, y = np.argwhere(sym)[0]
         return ("antisymmetric", (int(x), int(y)))
-    closure = (a.astype(np.int64) @ a.astype(np.int64)) > 0
+    closure = exact_matmul(a, a) > 0
     missing = closure & ~a
     if missing.any():
         x, y = np.argwhere(missing)[0]
@@ -50,7 +50,7 @@ class FinitePoset:
 
 
 def poset_from_matrix(leq) -> FinitePoset:
-    return FinitePoset(len(leq), tuple(tuple(bool(v) for v in row) for row in leq))
+    return FinitePoset(len(leq), tuple(tuple(row.tolist()) for row in np.asarray(leq, dtype=bool)))
 
 
 @dataclass(frozen=True)
@@ -88,9 +88,8 @@ def moebius(P) -> MoebiusCache:
     """
     leq = np.array(P.leq, dtype=bool).reshape(P.m, P.m)
     mu = _inverse_zeta(leq, np.int64)
-    largest = max(int(mu.max(initial=0)), -int(mu.min(initial=0)))
-    if not (P.m * largest < INT64_SAFE
-            and (leq.astype(np.int64) @ mu == np.eye(P.m, dtype=np.int64)).all()):
+    if not (P.m * abs_max(mu) < INT64_SAFE
+            and (exact_matmul(leq, mu) == np.eye(P.m, dtype=np.int64)).all()):
         mu = _inverse_zeta(leq, object)
     values = {(int(x), int(y)): Fraction(int(mu[x, y])) for x, y in np.argwhere(leq)}
     return MoebiusCache(values, mu)

@@ -30,21 +30,30 @@ class FiniteSemigroup:
 def validate(table, names=None) -> FiniteSemigroup:
     """Check a square index table for range and associativity.
 
-    Raises OutOfRangeError or NotAssociativeError (with the lexicographically
-    first failing triple); otherwise returns the validated semigroup.
+    Raises ValueError (empty table, a row of the wrong length, a non-integer
+    entry) or OutOfRangeError for the first bad row or entry in row-major
+    order, then NotAssociativeError with the lexicographically first failing
+    triple; otherwise returns the validated semigroup.
     """
     n = len(table)
     if n == 0:
         raise ValueError("empty table")
-    for i, row in enumerate(table):
-        if len(row) != n:
-            raise ValueError(f"row {i} has length {len(row)}, expected {n}")
-        for j, entry in enumerate(row):
-            if not isinstance(entry, (int, np.integer)) or isinstance(entry, bool):
-                raise ValueError(f"table[{i}][{j}] is not an integer")
-            if not 0 <= entry < n:
-                raise OutOfRangeError(i, j, entry, n)
-    t = np.asarray(table, dtype=np.int64)
+    rows = []
+    for row in table:
+        if len(row) != n or not all(map(_is_index_type, set(map(type, row)))):
+            break
+        rows.append(row)
+    m = len(rows)
+    try:
+        t = np.array(rows, dtype=np.int64).reshape(m, n)
+    except OverflowError:  # a Python int beyond int64, so out of range below
+        t = np.array(rows, dtype=object).reshape(m, n)
+    out = (t < 0) | (t >= n)
+    if out.any():
+        i, j = np.argwhere(out)[0]
+        raise OutOfRangeError(int(i), int(j), rows[i][j], n)
+    if m < n:
+        _raise_row_error(row, m, n)
     for i in range(n):
         left = t[t[i]]       # left[j][k] = (i*j)*k
         right = t[i][t]      # right[j][k] = i*(j*k)
@@ -55,7 +64,23 @@ def validate(table, names=None) -> FiniteSemigroup:
         names = tuple(str(x) for x in names)
         if len(names) != n:
             raise ValueError("names length does not match table size")
-    return FiniteSemigroup(n, tuple(tuple(int(x) for x in row) for row in table), names)
+    # int() returns a Python int entry itself, so the table shares the caller's ints
+    return FiniteSemigroup(n, tuple(tuple(map(int, row)) for row in rows), names)
+
+
+def _is_index_type(kind):
+    return issubclass(kind, (int, np.integer)) and not issubclass(kind, bool)
+
+
+def _raise_row_error(row, i, n):
+    """The error of the first bad entry of a row that has one, or of its length."""
+    if len(row) != n:
+        raise ValueError(f"row {i} has length {len(row)}, expected {n}")
+    for j, entry in enumerate(row):
+        if not _is_index_type(type(entry)):
+            raise ValueError(f"table[{i}][{j}] is not an integer")
+        if not 0 <= entry < n:
+            raise OutOfRangeError(i, j, entry, n)
 
 
 def idempotents(S) -> frozenset:

@@ -1,22 +1,30 @@
-import multiprocessing
-import os
+import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semicat import (
+    algebras,
     basis_element,
     build_category,
+    derive_structure,
     element,
     format_element,
     mul_category,
     mul_semigroup,
     phi,
     psi,
+    subsemigroup,
     unit,
     verify_isomorphism,
+    zoo,
 )
+from semicat.algebras import _mul_partial
+from semicat.cli import main
 from semicat.errors import BasisMismatchError
 
 A, B, EMPTY = 3, 1, 0  # in B_2: {(1,1),(1,2)}, {(1,1)}, {}
@@ -193,28 +201,110 @@ def test_workers_give_identical_reports(b2):
     assert serial.to_json() == parallel.to_json()
 
 
-def test_worker_pool_is_capped_at_cpu_count(b2, monkeypatch):
-    # a stand-in Pool records its size and maps in this process: nothing forks
-    sizes = []
+def test_workers_flag_is_accepted_and_has_no_effect(tmp_path, capsys):
+    results = []
+    for workers in ("1", "1000"):
+        path = tmp_path / f"iso-{workers}.json"
+        assert main(["iso", "--zoo", "b:2", "--report", str(path), "--workers", workers]) == 1
+        body = json.loads(path.read_text())
+        assert body["config"]["workers"] == int(workers)
+        results.append(body["result"])
+    capsys.readouterr()
+    assert results[0] == results[1]
+    assert not hasattr(algebras, "multiprocessing")
 
-    class RecordingPool:
-        def __init__(self, size):
-            sizes.append(size)
 
-        def __enter__(self):
-            return self
+# --- the numpy hom sweep against the per-pair reference ----------------------
 
-        def __exit__(self, *exc):
-            return False
 
-        def map(self, fn, chunks):
-            return [fn(chunk) for chunk in chunks]
+def reference_hom_sweep(t, cod, dom, leq):
+    """The per-pair sweep: phi(a)phi(b) and phi(ab) compared as dicts for all a, b."""
+    table, cod, dom = t.tolist(), cod.tolist(), dom.tolist()
+    n = len(table)
+    phis = [dict.fromkeys(np.flatnonzero(leq[:, a]).tolist(), 1) for a in range(n)]
+    case1, case2 = [], []
+    for a in range(n):
+        pa = phis[a]
+        for b in range(n):
+            lhs = phis[table[a][b]]
+            rhs = _mul_partial(table, cod, dom, pa, phis[b])
+            if lhs != rhs:
+                (case1 if cod[a] == dom[b] else case2).append((a, b))
+    return case1, case2
 
-    monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool", RecordingPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    capped = verify_isomorphism(b2, workers=1000)
-    assert sizes == [2]
-    assert capped.to_json() == verify_isomorphism(b2).to_json()
+
+def assert_sweep_matches_reference(es):
+    """Equal reports from the numpy sweep and the reference, in both orders."""
+    C = build_category(es)
+    n = es.n
+    assert verify_isomorphism(es).case1_count == sum(
+        1 for a in range(n) for b in range(n) if C.cod[a] == C.dom[b])
+    reports = {}
+    for order in ("r", "l"):
+        fast = verify_isomorphism(es, order=order).to_json()
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(algebras, "_hom_sweep", reference_hom_sweep)
+            reference = verify_isomorphism(es, order=order).to_json()
+        assert fast == reference
+        reports[order] = reference
+    return reports
+
+
+@pytest.mark.parametrize("spec", ["six", "b:2", "pt:2", "pt:3", "op:3", "t:3", "ssl:chain2:z2,z3"])
+def test_hom_sweep_matches_reference_on_zoo(spec):
+    reports = assert_sweep_matches_reference(zoo.parse_zoo_spec(spec))
+    if spec in ("six", "b:2"):
+        assert reports["r"]["hom_case2_failures"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_hom_sweep_matches_reference_on_arbitrary_tables(data):
+    # any table, dom/cod maps and relation: rows b whose key counts agree but
+    # whose keys differ occur here, not only on Ehresmann inputs
+    n = data.draw(st.integers(1, 6))
+
+    def draw_array(elements, *shape):
+        size = int(np.prod(shape))
+        return np.array(data.draw(st.lists(elements, min_size=size, max_size=size))).reshape(shape)
+
+    t = draw_array(st.integers(0, n - 1), n, n).astype(np.int64)
+    cod, dom = (draw_array(st.integers(0, n - 1), n).astype(np.int64) for _ in range(2))
+    leq = draw_array(st.booleans(), n, n).astype(bool)
+    assert algebras._hom_sweep(t, cod, dom, leq) == reference_hom_sweep(t, cod, dom, leq)
+
+
+def closed_subsemigroup(es, generators):
+    """The subsemigroup generated by `generators` and closed under + and *."""
+    t = es.S.table
+    elems, frontier = set(), list(generators)
+    while frontier:
+        a = frontier.pop()
+        if a in elems:
+            continue
+        elems.add(a)
+        frontier += [es.plus[a], es.star[a]]
+        frontier += [t[a][b] for b in elems] + [t[b][a] for b in elems]
+    elems = sorted(elems)
+    sub = subsemigroup(es.S, elems)
+    return derive_structure(sub, [i for i, a in enumerate(elems) if a in set(es.E)])
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.integers(0, 63), min_size=1, max_size=3))
+def test_hom_sweep_matches_reference_on_pt3_subsemigroups(pt3, generators):
+    reports = assert_sweep_matches_reference(closed_subsemigroup(pt3, generators))
+    assert reports["r"]["passed"]  # pt:3 is left restriction
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.integers(0, 15), max_size=2))
+def test_hom_sweep_matches_reference_on_b2_subsemigroups(b2, generators):
+    # A and B fail in every subsemigroup that holds them: phi(ab) has C(B) as
+    # a term, and phi(a)phi(b) has none, as A* is not B+
+    sub = closed_subsemigroup(b2, [A, B, *generators])
+    reports = assert_sweep_matches_reference(sub)
+    assert reports["r"]["hom_case2_failures"]
 
 
 def test_unit_is_two_sided_identity(pt2):

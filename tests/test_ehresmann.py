@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semicat import (
     check_variety,
@@ -14,11 +16,15 @@ from semicat import (
     validate,
 )
 from semicat import zoo
+from semicat.ehresmann import EhresmannStructure, _subsemilattice_witness
 from semicat.errors import (
+    ClassWithTwoIdempotentsError,
     ClassWithoutIdempotentError,
     CongruenceError,
     NotSubsemilatticeError,
+    SemicatError,
 )
+from semicat.semigroups import FiniteSemigroup
 
 
 def test_tilde_distinct_idempotents_never_related(pt2):
@@ -269,3 +275,83 @@ def test_maximal_subsemilattices_guard():
     big = zoo.b_n(3).S
     with pytest.raises(ValueError):
         maximal_subsemilattices(big, limit=10)
+
+
+# --- derive_structure against the per-pair loops -------------------------------
+
+
+def reference_derive(S, E):
+    """The class maps, then the congruence identities and orders pair by pair."""
+    E = tuple(sorted(set(E)))
+    bad = _subsemilattice_witness(S, E)
+    if bad is not None:
+        raise NotSubsemilatticeError(*bad)
+    tilde = tilde_relations(S, E)
+    n, t = S.n, S.table
+    maps = []
+    for side, classes in (("tilde-R", tilde.r_classes), ("tilde-L", tilde.l_classes)):
+        image = [None] * n
+        for cls in classes:
+            reps = [e for e in cls if e in E]
+            if not reps:
+                raise ClassWithoutIdempotentError(side, cls)
+            if len(reps) > 1:
+                raise ClassWithTwoIdempotentsError(side, cls, reps[0], reps[1])
+            for a in cls:
+                image[a] = reps[0]
+        maps.append(image)
+    plus, star = maps
+    for a in range(n):
+        for b in range(n):
+            if plus[t[a][b]] != plus[t[a][plus[b]]]:
+                raise CongruenceError("plus", a, b)
+            if star[t[a][b]] != star[t[star[a]][b]]:
+                raise CongruenceError("star", a, b)
+    leq_r = tuple(tuple(a == t[plus[a]][b] for b in range(n)) for a in range(n))
+    leq_l = tuple(tuple(a == t[b][star[a]] for b in range(n)) for a in range(n))
+    return E, tuple(plus), tuple(star), leq_r, leq_l
+
+
+def derive_outcome(fn, S, E):
+    try:
+        got = fn(S, E)
+    except SemicatError as err:
+        return type(err), str(err), vars(err)
+    if isinstance(got, EhresmannStructure):
+        got = (got.E, got.plus, got.star, got.leq_r, got.leq_l)
+        assert all(type(v) is bool for row in got[3] + got[4] for v in row)
+    return got
+
+
+BASES = {"pt:2": zoo.pt_n(2), "b:2": zoo.b_n(2), "six": zoo.six_element_example()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_derive_mutants_fail_as_the_loops_do(data):
+    es = BASES[data.draw(st.sampled_from(sorted(BASES)))]
+    n = es.n
+    table = [list(row) for row in es.S.table]
+    for _ in range(data.draw(st.integers(0, 2))):
+        table[data.draw(st.integers(0, n - 1))][data.draw(st.integers(0, n - 1))] = \
+            data.draw(st.integers(0, n - 1))
+    S = FiniteSemigroup(n, tuple(map(tuple, table)))
+    idempotents_of_s = sorted(e for e in range(n) if table[e][e] == e)
+    E = data.draw(st.one_of(st.just(list(es.E)),
+                            st.lists(st.sampled_from(idempotents_of_s), min_size=1)))
+    assert derive_outcome(derive_structure, S, E) == derive_outcome(reference_derive, S, E)
+
+
+@pytest.mark.parametrize("spec", ["pt:2", "pt:3", "b:2"])
+def test_derive_on_idempotent_subsets_fails_as_the_loops_do(spec):
+    # subsets of E keep the class condition often enough to reach the congruence check
+    es = zoo.parse_zoo_spec(spec)
+    rng = random.Random(11)
+    sides = set()
+    for _ in range(40):
+        E = sorted(rng.sample(es.E, rng.randint(1, len(es.E))))
+        got = derive_outcome(derive_structure, es.S, E)
+        assert got == derive_outcome(reference_derive, es.S, E)
+        if got[0] is CongruenceError:
+            sides.add(got[2]["side"])
+    assert sides

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -119,3 +120,57 @@ def test_empty_and_zero_width_inputs():
     assert nullspace([]) == [] and rank([]) == 0
     assert nullspace([[], []]) == [] and rank([[]]) == 0
     assert nullspace([[0, 0]]) == [(1, 0), (0, 1)]
+
+
+# --- exact_matmul ------------------------------------------------------------
+
+
+@st.composite
+def matrix_pairs(draw, bound=2**20):
+    """Integer matrices a (m x k) and b (k x n), entries within +-bound."""
+    m, k, n = (draw(st.integers(0, 6)) for _ in range(3))
+    entries = st.integers(-bound, bound)
+    a = draw(st.lists(st.lists(entries, min_size=k, max_size=k), min_size=m, max_size=m))
+    b = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=k, max_size=k))
+    return a, b, m, k, n
+
+
+def python_product(a, b, m, k, n):
+    return [[sum(a[i][l] * b[l][j] for l in range(k)) for j in range(n)] for i in range(m)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(matrix_pairs(), matrix_pairs(bound=2**29)))
+def test_exact_matmul_matches_python_ints(pair):
+    # entries up to 2**29 put the bound above 2**53: the int64 route
+    a, b, m, k, n = pair
+    got = linalg.exact_matmul(np.array(a, dtype=np.int64).reshape(m, k),
+                              np.array(b, dtype=np.int64).reshape(k, n))
+    assert got.dtype == np.int64
+    assert got.tolist() == python_product(a, b, m, k, n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrix_pairs())
+def test_exact_matmul_int64_route_when_bound_is_zero(pair):
+    a, b, m, k, n = pair
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "FLOAT64_EXACT", 0)
+        got = linalg.exact_matmul(np.array(a, dtype=np.int64).reshape(m, k),
+                                  np.array(b, dtype=np.int64).reshape(k, n))
+    assert got.tolist() == python_product(a, b, m, k, n)
+
+
+def test_exact_matmul_bound_keeps_float_route_exact(monkeypatch):
+    # (2**30 + 1)**2 needs 61 bits: float64 rounds it, int64 does not
+    a = np.array([[2**30 + 1]])
+    assert linalg.exact_matmul(a, a).tolist() == [[(2**30 + 1) ** 2]]
+    monkeypatch.setattr(linalg, "FLOAT64_EXACT", 2**64)
+    assert linalg.exact_matmul(a, a).tolist() != [[(2**30 + 1) ** 2]]
+
+
+def test_exact_matmul_of_boolean_relations():
+    rng = np.random.default_rng(5)
+    a = rng.random((40, 30)) < 0.3
+    b = rng.random((30, 20)) < 0.3
+    assert (linalg.exact_matmul(a, b) == a.astype(np.int64) @ b.astype(np.int64)).all()

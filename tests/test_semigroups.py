@@ -1,6 +1,9 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semicat import (
     from_interchange,
@@ -17,6 +20,7 @@ from semicat import (
 )
 from semicat import zoo
 from semicat.errors import NotAssociativeError, NotClosedError, OutOfRangeError
+from semicat.semigroups import FiniteSemigroup
 
 Z2 = [[0, 1], [1, 0]]
 LEFT_ZERO = [[0, 0], [1, 1]]
@@ -197,3 +201,73 @@ def test_interchange_rejects_bad_e(pt2):
     obj = to_interchange(pt2.S, [99])
     with pytest.raises(ValueError):
         from_interchange(obj)
+
+
+# --- validate against the per-entry loop ---------------------------------------
+
+
+def reference_validate(table, names=None):
+    """The per-entry checks and the associativity sweep, one entry at a time."""
+    n = len(table)
+    if n == 0:
+        raise ValueError("empty table")
+    for i, row in enumerate(table):
+        if len(row) != n:
+            raise ValueError(f"row {i} has length {len(row)}, expected {n}")
+        for j, entry in enumerate(row):
+            if not isinstance(entry, (int, np.integer)) or isinstance(entry, bool):
+                raise ValueError(f"table[{i}][{j}] is not an integer")
+            if not 0 <= entry < n:
+                raise OutOfRangeError(i, j, entry, n)
+    t = np.asarray(table, dtype=np.int64)
+    for i in range(n):
+        left, right = t[t[i]], t[i][t]
+        if not np.array_equal(left, right):
+            j, k = np.argwhere(left != right)[0]
+            raise NotAssociativeError(i, int(j), int(k))
+    if names is not None:
+        names = tuple(str(x) for x in names)
+        if len(names) != n:
+            raise ValueError("names length does not match table size")
+    return tuple(tuple(int(x) for x in row) for row in table), names
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ValueError, OutOfRangeError, NotAssociativeError) as err:
+        return type(err), str(err)
+
+
+BAD_ENTRIES = [-1, 6, 2**70, -2**70, True, False, 1.0, "1", None, np.int8(2), np.uint64(2**64 - 1)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_validate_mutants_fail_as_the_loop_does(data):
+    six = zoo.six_element_example().S
+    table = [list(row) for row in six.table]
+    for _ in range(data.draw(st.integers(0, 3))):
+        i, j = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5))
+        if data.draw(st.booleans()):
+            table[i][j] = data.draw(st.sampled_from(BAD_ENTRIES))
+        else:
+            table[i][j] = data.draw(st.integers(0, 5))  # in range; may break associativity
+    i, j = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5))
+    kind = data.draw(st.sampled_from(["keep", "short", "long"]))
+    if kind == "short":
+        table[i] = table[i][:j]
+    elif kind == "long":
+        table[i] = table[i] + [0]
+    names = data.draw(st.sampled_from([None, list("abcdef"), list("abc")]))
+    expect = outcome(reference_validate, table, names)
+    got = outcome(validate, table, names)
+    if isinstance(got, FiniteSemigroup):
+        got = (got.table, got.names)
+        assert all(type(x) is int for row in got[0] for x in row)
+    assert got == expect
+
+
+def test_validate_rows_as_strings_fail_as_the_loop_does():
+    for table in ("ab", "a", [[0, 0], "ab"], {"ab": 1, "cd": 2}):
+        assert outcome(validate, table) == outcome(reference_validate, table)
