@@ -54,10 +54,10 @@ from .semigroups import (
     idempotents,
     identity_of,
     is_inverse,
-    is_subsemilattice,
     opposite,
     product,
     subsemigroup,
+    subsemilattice_violation,
     to_interchange,
     validate,
 )

@@ -251,14 +251,13 @@ def _hom_sweep(t, cod, dom, leq):
     return case1, case2
 
 
-def verify_isomorphism(ES, order="r", workers=1) -> IsoReport:
+def verify_isomorphism(ES, order="r") -> IsoReport:
     """Check that phi and psi are mutually inverse and that phi is multiplicative.
 
     Bijectivity is checked on every basis element; multiplicativity on every
     basis pair, which suffices by bilinearity.  Pairs are split by whether the
     corresponding morphisms compose (a* = b+); the first failing pair in
-    lexicographic order is expanded into a printable certificate.  `workers`
-    is accepted for compatibility and has no effect.
+    lexicographic order is expanded into a printable certificate.
     """
     if order not in ("r", "l"):
         raise ValueError("order must be 'r' or 'l'")

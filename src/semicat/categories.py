@@ -23,7 +23,7 @@ from .errors import (
 )
 from .linalg import exact_matmul
 from .posets import poset_violation
-from .reports import VerificationReport
+from .reports import VerificationReport, first_witness
 from .semigroups import validate
 
 
@@ -84,196 +84,193 @@ def corestriction(C, x, e):
     return C.table[x][e]
 
 
-def _down_lists(leq, n):
-    return [[y for y in range(n) if leq[y][x]] for x in range(n)]
-
-
 def verify_axioms(C) -> VerificationReport:
     """Exhaustive sweep of the category-with-order and Ehresmann axioms.
 
     Every check is reported by name with the first witness on failure:
     poset validity of both orders, the plain category laws, CO1-CO3 for
-    both orders, and EC2-EC8 (EC1 is the pair of CO blocks).
+    both orders, and EC2-EC8 (EC1 is the pair of CO blocks).  Each check is
+    a boolean mask of failing instances, and its witness is the instance a
+    nested loop over the same variables, in the same order, would meet first.
     """
     n = C.n
     rep = VerificationReport()
-    t = C.table
+    t = np.array(C.table, dtype=np.int64)
+    dom, cod = np.array(C.dom), np.array(C.cod)
+    objects = np.array(C.objects, dtype=np.int64)
+    r, l = np.array(C.leq_r, dtype=bool), np.array(C.leq_l, dtype=bool)
 
-    for label, leq in (("r", C.leq_r), ("l", C.leq_l)):
+    for label, leq in (("r", r), ("l", l)):
         bad = poset_violation(leq)
         rep.add(f"poset[leq_{label}]", bad is None,
                 None if bad is None else {"kind": bad[0], "at": bad[1]})
 
-    witness = None
-    for x in range(n):
-        for y in range(n):
-            if C.composable(x, y):
-                xy = t[x][y]
-                if C.dom[xy] != C.dom[x] or C.cod[xy] != C.cod[y]:
-                    witness = {"x": x, "y": y}
-                    break
-        if witness:
-            break
+    composable = cod[:, None] == dom
+    witness = first_witness(composable & ((dom[t] != dom[:, None]) | (cod[t] != cod)), ("x", "y"))
     rep.add("category[dom-cod-of-composition]", witness is None, witness)
-
-    witness = None
-    for e in C.objects:
-        if C.dom[e] != e or C.cod[e] != e:
-            witness = {"e": e}
-            break
-        for x in range(n):
-            if C.composable(e, x) and t[e][x] != x:
-                witness = {"e": e, "x": x}
-                break
-            if C.composable(x, e) and t[x][e] != x:
-                witness = {"x": x, "e": e}
-                break
-        if witness:
-            break
+    witness = _identity_witness(t, dom, cod, objects)
     rep.add("category[identities]", witness is None, witness)
-
-    witness = None
-    for x in range(n):
-        for y in range(n):
-            if not C.composable(x, y):
-                continue
-            xy = t[x][y]
-            for z in range(n):
-                if C.composable(y, z) and t[xy][z] != t[x][t[y][z]]:
-                    witness = {"x": x, "y": y, "z": z}
-                    break
-            if witness:
-                break
-        if witness:
-            break
+    witness = _associativity_witness(t, dom, cod)
     rep.add("category[associativity]", witness is None, witness)
 
-    for label, leq in (("r", C.leq_r), ("l", C.leq_l)):
-        pairs = [(x, y) for x in range(n) for y in range(n) if leq[x][y]]
-
-        witness = None
-        for x, y in pairs:
-            if not leq[C.dom[x]][C.dom[y]] or not leq[C.cod[x]][C.cod[y]]:
-                witness = {"x": x, "y": y}
-                break
+    for label, leq in (("r", r), ("l", l)):
+        witness = first_witness(leq & ~(leq[dom[:, None], dom] & leq[cod[:, None], cod]), ("x", "y"))
         rep.add(f"CO1[{label}]", witness is None, witness)
-
-        by_doms = {}
-        for u, v in pairs:
-            by_doms.setdefault((C.dom[u], C.dom[v]), []).append((u, v))
-        witness = None
-        for x, y in pairs:
-            for u, v in by_doms.get((C.cod[x], C.cod[y]), ()):
-                if not leq[t[x][u]][t[y][v]]:
-                    witness = {"x": x, "y": y, "u": u, "v": v}
-                    break
-            if witness:
-                break
+        witness = _co2_witness(t, dom, cod, leq)
         rep.add(f"CO2[{label}]", witness is None, witness)
-
-        witness = None
-        for x, y in pairs:
-            if x != y and C.dom[x] == C.dom[y] and C.cod[x] == C.cod[y]:
-                witness = {"x": x, "y": y}
-                break
+        same_ends = (dom[:, None] == dom) & (cod[:, None] == cod) & ~np.eye(n, dtype=bool)
+        witness = first_witness(leq & same_ends, ("x", "y"))
         rep.add(f"CO3[{label}]", witness is None, witness)
 
-    down_r = _down_lists(C.leq_r, n)
-    down_l = _down_lists(C.leq_l, n)
+    # both existence checks compare objects by leq_r, as object_leq does
+    found = _restriction_witness(t, dom, r, r, objects)
+    rep.add("EC2[restriction-exists-unique]", found is None,
+            found and {"e": found[1], "x": found[0], "candidates": found[2]})
+    found = _restriction_witness(t.T, cod, l, r, objects)
+    rep.add("EC3[corestriction-exists-unique]", found is None,
+            found and {"x": found[0], "e": found[1], "candidates": found[2]})
 
-    witness = None
-    for x in range(n):
-        for e in C.objects:
-            if not C.object_leq(e, C.dom[x]):
-                continue
-            found = [y for y in down_r[x] if C.dom[y] == e]
-            if len(found) != 1 or found[0] != t[e][x]:
-                witness = {"e": e, "x": x, "candidates": found}
-                break
-        if witness:
-            break
-    rep.add("EC2[restriction-exists-unique]", witness is None, witness)
-
-    witness = None
-    for x in range(n):
-        for e in C.objects:
-            if not C.object_leq(e, C.cod[x]):
-                continue
-            found = [y for y in down_l[x] if C.cod[y] == e]
-            if len(found) != 1 or found[0] != t[x][e]:
-                witness = {"x": x, "e": e, "candidates": found}
-                break
-        if witness:
-            break
-    rep.add("EC3[corestriction-exists-unique]", witness is None, witness)
-
-    witness = None
-    for e in C.objects:
-        for f in C.objects:
-            if C.leq_r[e][f] != C.leq_l[e][f]:
-                witness = {"e": e, "f": f}
-                break
-        if witness:
-            break
+    witness = first_witness((r != l)[np.ix_(objects, objects)], ("e", "f"), e=objects, f=objects)
     rep.add("EC4[object-orders-agree]", witness is None, witness)
-
-    witness = None
-    for e in C.objects:
-        for f in C.objects:
-            lower = [g for g in C.objects if C.object_leq(g, e) and C.object_leq(g, f)]
-            tops = [g for g in lower if all(C.object_leq(h, g) for h in lower)]
-            if len(tops) != 1 or tops[0] != C.meet[(e, f)]:
-                witness = {"e": e, "f": f, "lower": lower}
-                break
-        if witness:
-            break
+    witness = _meet_witness(r, objects, _meets(C, objects, objects))
     rep.add("EC5[object-meets]", witness is None, witness)
 
-    r = np.asarray(C.leq_r, dtype=bool)
-    l = np.asarray(C.leq_l, dtype=bool)
     rl = exact_matmul(r, l) > 0
     lr = exact_matmul(l, r) > 0
-    witness = None
-    if not np.array_equal(rl, lr):
-        x, y = np.argwhere(rl != lr)[0]
-        witness = {"x": int(x), "y": int(y)}
+    witness = first_witness(rl != lr, ("x", "y"))
     rep.add("EC6[order-commutation]", witness is None, witness)
 
-    witness = None
-    for x in range(n):
-        for y in range(n):
-            if not C.leq_r[x][y]:
-                continue
-            for f in C.objects:
-                xc = t[x][C.meet[(C.cod[x], f)]]
-                yc = t[y][C.meet[(C.cod[y], f)]]
-                if not C.leq_r[xc][yc]:
-                    witness = {"x": x, "y": y, "f": f}
-                    break
-            if witness:
-                break
-        if witness:
-            break
+    # EC8 is EC7 for the opposite category: transposed table, dom for cod, leq_l
+    witness = _monotone_witness(t, _meets(C, cod, objects), r, objects)
     rep.add("EC7[corestriction-monotone]", witness is None, witness)
-
-    witness = None
-    for x in range(n):
-        for y in range(n):
-            if not C.leq_l[x][y]:
-                continue
-            for f in C.objects:
-                xr = t[C.meet[(C.dom[x], f)]][x]
-                yr = t[C.meet[(C.dom[y], f)]][y]
-                if not C.leq_l[xr][yr]:
-                    witness = {"x": x, "y": y, "f": f}
-                    break
-            if witness:
-                break
-        if witness:
-            break
+    witness = _monotone_witness(t.T, _meets(C, dom, objects), l, objects)
     rep.add("EC8[restriction-monotone]", witness is None, witness)
 
     return rep
+
+
+def _meets(C, left, right):
+    """C.meet[(left[i], right[j])] as an array; KeyError for a pair C.meet lacks."""
+    meet = np.full((C.n, C.n), -1, dtype=np.int64)
+    for (e, f), m in C.meet.items():
+        meet[e, f] = m
+    out = meet[left[:, None], right]
+    missing = first_witness(out < 0, ("e", "f"), e=left, f=right)
+    if missing:
+        raise KeyError((missing["e"], missing["f"]))
+    return out
+
+
+def _identity_witness(t, dom, cod, objects):
+    """First object e off its own ends, or the first x with ex != x or xe != x (in that order)."""
+    arange = np.arange(len(t))
+    for e in objects.tolist():
+        if dom[e] != e or cod[e] != e:
+            return {"e": e}
+        # side 0 is ex = x over the x with dom x = e, side 1 is xe = x over cod x = e
+        bad = np.stack([(dom == e) & (t[e] != arange), (cod == e) & (t[:, e] != arange)], axis=1)
+        found = first_witness(bad, ("x", "side"))
+        if found:
+            return {"e": e, "x": found["x"]} if found["side"] == 0 else {"x": found["x"], "e": e}
+    return None
+
+
+def _associativity_witness(t, dom, cod):
+    """First composable (x, y, z) with (xy)z != x(yz).
+
+    The composable pairs (y, z) and their products yz are listed once,
+    grouped by dom y, so each x is checked against exactly the pairs it
+    composes with, in (y, z) order.
+    """
+    n = len(t)
+    ys, zs = np.nonzero(cod[:, None] == dom)
+    flat = t.ravel()
+    pairs = {e: (ys[p], zs[p], flat[ys[p] * n + zs[p]]) for e, p in _group_by(dom[ys]).items()}
+    for x in range(n):
+        if int(cod[x]) not in pairs:
+            continue
+        y, z, yz = pairs[int(cod[x])]
+        found = first_witness(flat[t[x, y] * n + z] != t[x, yz], ("p",))
+        if found:
+            return {"x": x, "y": int(y[found["p"]]), "z": int(z[found["p"]])}
+    return None
+
+
+def _co2_witness(t, dom, cod, leq):
+    """CO2: x <= y, u <= v, cod x = dom u, cod y = dom v imply xu <= yv.
+
+    The pairs (u, v) are grouped by (dom u, dom v), so each group is swept
+    against the pairs (x, y) with those codomains.  A pair (x, y) meets one
+    group only, so taking the groups in any order and keeping the least
+    (x, y), then the least (u, v), in pair order gives the loop's witness.
+    """
+    xs, ys = np.nonzero(leq)
+    n = len(t)
+    groups = [_group_by(dom[xs] * n + dom[ys]), _group_by(cod[xs] * n + cod[ys])]
+    best = None
+    for key in groups[0].keys() & groups[1].keys():
+        uv, xy = groups[0][key], groups[1][key]
+        if best is not None:
+            xy = xy[xy < best[0]]
+        found = first_witness(~leq[t[xs[xy, None], xs[uv]], t[ys[xy, None], ys[uv]]],
+                              ("xy", "uv"), xy=xy, uv=uv)
+        if found:
+            best = (found["xy"], found["uv"])
+    if best is None:
+        return None
+    p, q = best
+    return {"x": int(xs[p]), "y": int(ys[p]), "u": int(xs[q]), "v": int(ys[q])}
+
+
+def _group_by(keys):
+    """{key: ascending positions holding it}."""
+    order = np.argsort(keys, kind="stable")
+    values, starts = np.unique(keys[order], return_index=True)
+    return dict(zip(values.tolist(), np.split(order, starts[1:])))
+
+
+def _restriction_witness(t, end, below, object_leq, objects):
+    """EC2 as (x, e, candidates), or None.
+
+    The first x and object e <= end(x) for which the y <= x with end(y) = e
+    are not exactly [t[e, x]].  EC3 is the same check on the transposed
+    table, with cod for end and leq_l for below.
+    """
+    arange = np.arange(len(t))
+    at = end[:, None] == objects                      # at[y, i]: end(y) = e_i
+    count = exact_matmul(below.T, at)                 # y <= x with end(y) = e_i
+    te = t[objects, arange[:, None]]                  # te[x, i] = t[e_i, x]
+    unique = (count == 1) & below[te, arange[:, None]] & (end[te] == objects)
+    found = first_witness(object_leq[objects, end[:, None]] & ~unique, ("x", "e"), e=objects)
+    if found is None:
+        return None
+    x, e = found["x"], found["e"]
+    return x, e, np.flatnonzero(below[:, x] & (end == e)).tolist()
+
+
+def _meet_witness(r, objects, meets):
+    """EC5: first objects e, f whose lower set has not exactly the top meets[e, f]."""
+    below = r[np.ix_(objects, objects)]               # below[g, e]: g <= e
+    for i, e in enumerate(objects.tolist()):
+        lower = below[:, i] & below.T                 # lower[j, g]: g <= e and g <= e_j
+        tops = lower & (exact_matmul(lower, below) == lower.sum(axis=1)[:, None])
+        bad = (tops.sum(axis=1) != 1) | (objects[tops.argmax(axis=1)] != meets[i])
+        found = first_witness(bad, ("j",))
+        if found:
+            j = found["j"]
+            return {"e": e, "f": int(objects[j]), "lower": objects[lower[j]].tolist()}
+    return None
+
+
+def _monotone_witness(t, end_meets, leq, objects):
+    """EC7: first x <= y and object f with not t[x, end(x)^f] <= t[y, end(y)^f]."""
+    image = t[np.arange(len(t))[:, None], end_meets]  # image[x, i] = t[x, end(x) ^ e_i]
+    for x in range(len(t)):
+        ys = np.flatnonzero(leq[x])
+        found = first_witness(~leq[image[x], image[ys]], ("y", "f"), y=ys, f=objects)
+        if found:
+            return {"x": x, **found}
+    return None
 
 
 def rebuild_semigroup(C):
@@ -284,15 +281,10 @@ def rebuild_semigroup(C):
     """
     from .ehresmann import derive_structure
 
-    n = C.n
-    table = []
-    for x in range(n):
-        row = []
-        for y in range(n):
-            m = C.meet[(C.cod[x], C.dom[y])]
-            row.append(C.table[C.table[x][m]][C.table[m][y]])
-        table.append(row)
-    S = validate(table)
+    t = np.array(C.table, dtype=np.int64)
+    m = _meets(C, np.array(C.cod), np.array(C.dom))  # cod(x) ^ dom(y)
+    arange = np.arange(C.n)
+    S = validate(t[t[arange[:, None], m], t[m, arange]].tolist())
     return derive_structure(S, C.objects)
 
 

@@ -23,7 +23,7 @@ from .ehresmann import (
 from .errors import SemicatError
 from .reports import jsonable
 from .reptheory import ei_report, radical_span, semisimple_image_check
-from .semigroups import from_interchange, is_subsemilattice
+from .semigroups import from_interchange, subsemilattice_violation
 from .zoo import parse_zoo_spec
 
 SCHEMA_VERSION = 1
@@ -59,7 +59,7 @@ def _load(args):
         raise InputError(
             f"input has no E field; choose one of the maximal subsemilattices: {listing}"
         )
-    if not is_subsemilattice(S, E):
+    if subsemilattice_violation(S, E) is not None:
         raise InputError("declared E is not a subsemilattice")
     try:
         return derive_structure(S, E), None
@@ -167,7 +167,7 @@ def cmd_iso(args):
         return 1
     _maybe_emit_category(args, ES)
 
-    report = verify_isomorphism(ES, order=args.order, workers=args.workers)
+    report = verify_isomorphism(ES, order=args.order)
     _status(report.bijection, "bijection", "psi o phi = id and phi o psi = id")
     _status(
         report.homomorphism,

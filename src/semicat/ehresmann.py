@@ -22,8 +22,13 @@ from .errors import (
     CongruenceError,
     NotSubsemilatticeError,
 )
-from .reports import VerificationReport
-from .semigroups import FiniteSemigroup, idempotents
+from .reports import VerificationReport, first_witness
+from .semigroups import (
+    FiniteSemigroup,
+    associativity_witness,
+    idempotents,
+    subsemilattice_violation,
+)
 
 
 @dataclass(frozen=True)
@@ -77,20 +82,6 @@ def tilde_relations(S, E) -> TildeClasses:
     return TildeClasses(r_classes, l_classes, h_classes, r_index, l_index, h_index)
 
 
-def _subsemilattice_witness(S, E):
-    t = S.table
-    eset = set(E)
-    for e in E:
-        if t[e][e] != e:
-            return ("not idempotent", (e,))
-        for f in E:
-            if t[e][f] != t[f][e]:
-                return ("products do not commute", (e, f))
-            if t[e][f] not in eset:
-                return ("not closed", (e, f))
-    return None
-
-
 def derive_structure(S, E) -> EhresmannStructure:
     """Derive the +/* maps and both natural orders, or reject with a certificate.
 
@@ -98,7 +89,7 @@ def derive_structure(S, E) -> EhresmannStructure:
     one-sided congruence identities (ab)+ = (ab+)+ and (ab)* = (a*b)* to hold.
     """
     E = tuple(sorted(set(E)))
-    bad = _subsemilattice_witness(S, E)
+    bad = subsemilattice_violation(S, E)
     if bad is not None:
         raise NotSubsemilatticeError(*bad)
     tilde = tilde_relations(S, E)
@@ -127,9 +118,9 @@ def derive_structure(S, E) -> EhresmannStructure:
     table, p, s = np.array(t), np.array(plus), np.array(star)
     bad_plus = p[table] != p[table[:, p]]    # (ab)+ != (ab+)+
     bad_star = s[table] != s[table[s, :]]    # (ab)* != (a*b)*
-    bad = bad_plus | bad_star
-    if bad.any():
-        a, b = (int(v) for v in np.argwhere(bad)[0])
+    bad = first_witness(bad_plus | bad_star, ("a", "b"))
+    if bad:
+        a, b = bad["a"], bad["b"]
         raise CongruenceError("plus" if bad_plus[a, b] else "star", a, b)
 
     column = np.arange(n)[:, None]
@@ -139,28 +130,30 @@ def derive_structure(S, E) -> EhresmannStructure:
 
 
 # The thirteen identities characterizing the structures accepted by
-# derive_structure, as (name, arity, check) with check returning bool.
-def _variety_identities(t, plus, star):
-    def p(x):
-        return plus[x]
+# derive_structure, in report order; the first five are on +, the next five
+# their duals on *.
+_IDENTITY_NAMES = (
+    "x+ x = x", "(x+ y+)+ = x+ y+", "x+ y+ = y+ x+", "x+ (xy)+ = (xy)+", "(xy)+ = (x y+)+",
+    "x x* = x", "(x* y*)* = x* y*", "x* y* = y* x*", "(xy)* y* = (xy)*", "(xy)* = (x* y)*",
+    "x(yz) = (xy)z", "(x+)* = x+", "(x*)+ = x*",
+)
 
-    def s(x):
-        return star[x]
 
+def _plus_failures(t, p):
+    """Failing instances of the five identities on +, indexed by x or by (x, y).
+
+    On the opposite table with * for + these are the five identities on *
+    with x and y exchanged, so the caller transposes them.
+    """
+    arange = np.arange(len(t))
+    pp = t[p[:, None], p]       # x+ y+
+    xy = p[t]                   # (xy)+
     return [
-        ("x+ x = x", 1, lambda x: t[p(x)][x] == x),
-        ("(x+ y+)+ = x+ y+", 2, lambda x, y: p(t[p(x)][p(y)]) == t[p(x)][p(y)]),
-        ("x+ y+ = y+ x+", 2, lambda x, y: t[p(x)][p(y)] == t[p(y)][p(x)]),
-        ("x+ (xy)+ = (xy)+", 2, lambda x, y: t[p(x)][p(t[x][y])] == p(t[x][y])),
-        ("(xy)+ = (x y+)+", 2, lambda x, y: p(t[x][y]) == p(t[x][p(y)])),
-        ("x x* = x", 1, lambda x: t[x][s(x)] == x),
-        ("(x* y*)* = x* y*", 2, lambda x, y: s(t[s(x)][s(y)]) == t[s(x)][s(y)]),
-        ("x* y* = y* x*", 2, lambda x, y: t[s(x)][s(y)] == t[s(y)][s(x)]),
-        ("(xy)* y* = (xy)*", 2, lambda x, y: t[s(t[x][y])][s(y)] == s(t[x][y])),
-        ("(xy)* = (x* y)*", 2, lambda x, y: s(t[x][y]) == s(t[s(x)][y])),
-        ("x(yz) = (xy)z", 3, None),
-        ("(x+)* = x+", 1, lambda x: s(p(x)) == p(x)),
-        ("(x*)+ = x*", 1, lambda x: p(s(x)) == s(x)),
+        t[p, arange] != arange,
+        p[pp] != pp,
+        pp != pp.T,
+        t[p[:, None], xy] != xy,
+        xy != p[t[:, p]],
     ]
 
 
@@ -170,58 +163,37 @@ def check_variety(S, plus, star) -> VerificationReport:
     The maps may be arbitrary assignments; each identity is reported with its
     lexicographically first failing instance.
     """
-    n, t = S.n, S.table
-    plus = tuple(plus)
-    star = tuple(star)
+    t = np.array(S.table, dtype=np.int64)
+    p, s = np.array(plus, dtype=np.int64), np.array(star, dtype=np.int64)
+    masks = _plus_failures(t, p) + [m.T for m in _plus_failures(t.T, s)]
+    witnesses = [first_witness(m, ("x", "y")) for m in masks]
+    witnesses += [associativity_witness(t), first_witness(s[p] != p, ("x",)),
+                  first_witness(p[s] != s, ("x",))]
     report = VerificationReport()
-    for name, arity, check in _variety_identities(t, plus, star):
-        witness = None
-        if arity == 1:
-            for x in range(n):
-                if not check(x):
-                    witness = {"x": x}
-                    break
-        elif arity == 2:
-            for x in range(n):
-                if witness:
-                    break
-                for y in range(n):
-                    if not check(x, y):
-                        witness = {"x": x, "y": y}
-                        break
-        else:
-            a = np.asarray(t, dtype=np.int64)
-            for x in range(n):
-                left = a[a[x]]
-                right = a[x][a]
-                if not np.array_equal(left, right):
-                    y, z = np.argwhere(left != right)[0]
-                    witness = {"x": x, "y": int(y), "z": int(z)}
-                    break
+    for name, witness in zip(_IDENTITY_NAMES, witnesses):
         report.add(name, witness is None, witness)
     return report
 
 
+def _restriction(t, E, unary):
+    """(ok, first (a, e)) for ae = (ae)' a over all a in S, e in E, where ' is unary."""
+    E = np.array(E, dtype=np.int64)
+    ae = t[:, E]
+    bad = first_witness(ae != t[unary[ae], np.arange(len(t))[:, None]], ("a", "e"), e=E)
+    return (True, None) if bad is None else (False, (bad["a"], bad["e"]))
+
+
 def is_left_restriction(ES):
     """Check ae = (ae)+ a for all a in S, e in E; returns (ok, witness)."""
-    t = ES.S.table
-    for a in range(ES.n):
-        for e in ES.E:
-            ae = t[a][e]
-            if ae != t[ES.plus[ae]][a]:
-                return False, (a, e)
-    return True, None
+    return _restriction(np.array(ES.S.table, dtype=np.int64), ES.E, np.array(ES.plus))
 
 
 def is_right_restriction(ES):
-    """Check ea = a (ea)* for all a in S, e in E; returns (ok, witness)."""
-    t = ES.S.table
-    for a in range(ES.n):
-        for e in ES.E:
-            ea = t[e][a]
-            if ea != t[a][ES.star[ea]]:
-                return False, (a, e)
-    return True, None
+    """Check ea = a (ea)* for all a in S, e in E; returns (ok, witness).
+
+    This is the left check in the opposite semigroup, with * for +.
+    """
+    return _restriction(np.array(ES.S.table, dtype=np.int64).T, ES.E, np.array(ES.star))
 
 
 @dataclass(frozen=True)
@@ -245,11 +217,8 @@ class OrderContainment:
 
 
 def _containment(inner, outer):
-    for a in range(len(inner)):
-        for b in range(len(inner)):
-            if inner[a][b] and not outer[a][b]:
-                return False, (a, b)
-    return True, None
+    bad = first_witness(np.asarray(inner, dtype=bool) & ~np.asarray(outer, dtype=bool), ("a", "b"))
+    return (True, None) if bad is None else (False, (bad["a"], bad["b"]))
 
 
 def order_containment(ES) -> OrderContainment:

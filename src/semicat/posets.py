@@ -7,6 +7,7 @@ import numpy as np
 
 from .errors import NotAPosetError
 from .linalg import INT64_SAFE, abs_max, exact_matmul
+from .reports import first_witness
 
 
 def poset_violation(leq):
@@ -16,19 +17,16 @@ def poset_violation(leq):
     ("transitive", (x, y)) where y witnesses a missing x <= y.
     """
     m = len(leq)
-    a = np.asarray(leq, dtype=bool)
-    for x in range(m):
-        if not a[x, x]:
-            return ("reflexive", (x,))
-    sym = a & a.T & ~np.eye(m, dtype=bool)
-    if sym.any():
-        x, y = np.argwhere(sym)[0]
-        return ("antisymmetric", (int(x), int(y)))
-    closure = exact_matmul(a, a) > 0
-    missing = closure & ~a
-    if missing.any():
-        x, y = np.argwhere(missing)[0]
-        return ("transitive", (int(x), int(y)))
+    a = np.asarray(leq, dtype=bool).reshape(m, m)
+    found = first_witness(~a.diagonal(), ("x",))
+    if found:
+        return ("reflexive", (found["x"],))
+    found = first_witness(a & a.T & ~np.eye(m, dtype=bool), ("x", "y"))
+    if found:
+        return ("antisymmetric", (found["x"], found["y"]))
+    found = first_witness((exact_matmul(a, a) > 0) & ~a, ("x", "y"))
+    if found:
+        return ("transitive", (found["x"], found["y"]))
     return None
 
 

@@ -3,6 +3,25 @@
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
+
+def first_witness(mask, names, **values):
+    """The first True entry of a boolean array in row-major order, or None.
+
+    The entry comes back as {name: index}, one name per axis; an axis whose
+    name is also given as a keyword reports values[name][index] instead, so
+    an axis that runs over a subset of the elements can report the element.
+    Row-major order is the order of the nested loops over the same axes.
+    """
+    mask = np.asarray(mask, dtype=bool)
+    flat = mask.ravel()
+    if not flat.any():
+        return None
+    index = np.unravel_index(int(flat.argmax()), mask.shape)
+    return {name: int(values[name][i]) if name in values else int(i)
+            for name, i in zip(names, index)}
+
 
 def jsonable(value):
     """Recursively convert Fractions, tuples and sets into JSON-friendly values."""

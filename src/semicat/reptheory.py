@@ -165,24 +165,13 @@ def ei_report(ES, C) -> EIReport:
             maximal_witness = f
             break
 
-    invertible = set(invertible_morphisms(ES, C))
-    parent = {e: e for e in ES.E}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a in invertible:
-        e, f = ES.plus[a], ES.star[a]
-        re, rf = find(e), find(f)
-        if re != rf:
-            parent[max(re, rf)] = min(re, rf)
+    # objects e, f are isomorphic iff an invertible a has a+ = e and a* = f;
+    # for idempotents that is e D f: e R a L f for some a, and then a is
+    # invertible with a+ = e and a* = f
     groups = {}
     for e in ES.E:
-        groups.setdefault(find(e), []).append(e)
-    iso_classes = tuple(tuple(v) for _, v in sorted(groups.items()))
+        groups.setdefault(g.d_class[e], []).append(e)
+    iso_classes = tuple(tuple(v) for v in groups.values())
 
     endo_counts = {
         e: sum(1 for a in range(n) if ES.plus[a] == e and ES.star[a] == e)
@@ -195,7 +184,7 @@ def ei_report(ES, C) -> EIReport:
         e_is_maximal_semilattice=maximal_witness is None,
         maximal_witness=maximal_witness,
         object_iso_classes=iso_classes,
-        is_groupoid=len(invertible) == n,
+        is_groupoid=len(invertible_morphisms(ES, C)) == n,
     )
 
 

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotAssociativeError, NotClosedError, OutOfRangeError
+from .reports import first_witness
 
 
 @dataclass(frozen=True)
@@ -48,24 +49,38 @@ def validate(table, names=None) -> FiniteSemigroup:
         t = np.array(rows, dtype=np.int64).reshape(m, n)
     except OverflowError:  # a Python int beyond int64, so out of range below
         t = np.array(rows, dtype=object).reshape(m, n)
-    out = (t < 0) | (t >= n)
-    if out.any():
-        i, j = np.argwhere(out)[0]
-        raise OutOfRangeError(int(i), int(j), rows[i][j], n)
+    out = first_witness((t < 0) | (t >= n), ("i", "j"))
+    if out:
+        i, j = out["i"], out["j"]
+        raise OutOfRangeError(i, j, rows[i][j], n)
     if m < n:
         _raise_row_error(row, m, n)
-    for i in range(n):
-        left = t[t[i]]       # left[j][k] = (i*j)*k
-        right = t[i][t]      # right[j][k] = i*(j*k)
-        if not np.array_equal(left, right):
-            j, k = np.argwhere(left != right)[0]
-            raise NotAssociativeError(i, int(j), int(k))
+    bad = associativity_witness(t)
+    if bad:
+        raise NotAssociativeError(bad["x"], bad["y"], bad["z"])
     if names is not None:
         names = tuple(str(x) for x in names)
         if len(names) != n:
             raise ValueError("names length does not match table size")
     # int() returns a Python int entry itself, so the table shares the caller's ints
     return FiniteSemigroup(n, tuple(tuple(map(int, row)) for row in rows), names)
+
+
+def associativity_witness(t):
+    """The first (x, y, z) in row-major order with (xy)z != x(yz), or None.
+
+    t is a square int array; one (y, z) block of n^2 entries per x.
+    """
+    for x in range(len(t)):
+        # Named, so each block is freed only when the next one exists: two
+        # blocks freed together were handed back to the system and faulted in
+        # again page by page, three times slower on pt:4.
+        left = t[t[x]]       # left[y][z] = (x*y)*z
+        right = t[x][t]      # right[y][z] = x*(y*z)
+        found = first_witness(left != right, ("y", "z"))
+        if found:
+            return {"x": x, **found}
+    return None
 
 
 def _is_index_type(kind):
@@ -156,20 +171,28 @@ def _green(S) -> GreenData:
     return GreenData(r, l, h, d)
 
 
-def is_subsemilattice(S, E) -> bool:
-    """True iff E is a commuting set of idempotents closed under the product."""
+def subsemilattice_violation(S, E):
+    """First reason E is not a commuting set of idempotents closed under the product.
+
+    Returns None, ("out of range", (e,)), or the first failure of a loop over
+    e in sorted E that checks ("not idempotent", (e,)) and then, for each f
+    in E, ("products do not commute", (e, f)) and ("not closed", (e, f)).
+    """
     E = sorted(set(E))
-    if not all(0 <= e < S.n for e in E):
-        return False
-    t = S.table
-    eset = set(E)
     for e in E:
-        if t[e][e] != e:
-            return False
-        for f in E:
-            if t[e][f] != t[f][e] or t[e][f] not in eset:
-                return False
-    return True
+        if not 0 <= e < S.n:
+            return ("out of range", (e,))
+    t = S.table
+    products = np.array([[t[e][f] for f in E] for e in E], dtype=np.int64).reshape(len(E), len(E))
+    closed = np.isin(products, E)
+    for i, e in enumerate(E):
+        if products[i, i] != e:
+            return ("not idempotent", (e,))
+        bad = np.stack([products[i] != products[:, i], ~closed[i]], axis=1)
+        found = first_witness(bad, ("f", "kind"), f=E)
+        if found:
+            return (("products do not commute", "not closed")[found["kind"]], (e, found["f"]))
+    return None
 
 
 def opposite(S) -> FiniteSemigroup:
@@ -253,11 +276,14 @@ def from_interchange(obj):
     table = obj["table"]
     if "n" in obj and obj["n"] != len(table):
         raise ValueError("declared n does not match table size")
-    S = validate(table, obj.get("names"))
-    E = obj.get("E")
+    names, E = obj.get("names"), obj.get("E")
+    if names is not None and not isinstance(names, list):
+        raise ValueError("names must be a list")
+    if E is not None and not (isinstance(E, list) and all(_is_index_type(type(e)) for e in E)):
+        raise ValueError("E must be a list of integer indices")
+    S = validate(table, names)
     if E is not None:
-        E = sorted(set(int(e) for e in E))
+        E = tuple(sorted({int(e) for e in E}))
         if any(not 0 <= e < S.n for e in E):
             raise ValueError("E contains out-of-range indices")
-        E = tuple(E)
     return S, E

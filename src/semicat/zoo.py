@@ -17,6 +17,7 @@ import numpy as np
 
 from .ehresmann import EhresmannStructure, derive_structure
 from .errors import IncompatibleMapsError, NotClosedError
+from .reports import first_witness
 from .semigroups import (
     FiniteSemigroup,
     identity_of,
@@ -58,9 +59,9 @@ def _compose_vectors(vectors, n):
         code *= base
         code += images[vectors[:, x]]
     table = index[code]
-    if (table < 0).any():
-        a, b = np.argwhere(table < 0)[0]
-        raise NotClosedError("product", (int(a), int(b)))
+    outside = first_witness(table < 0, ("a", "b"))
+    if outside:
+        raise NotClosedError("product", (outside["a"], outside["b"]))
     return table
 
 

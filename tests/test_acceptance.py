@@ -19,7 +19,6 @@ from semicat import (
     is_inverse,
     is_left_restriction,
     is_right_restriction,
-    is_subsemilattice,
     moebius,
     mul_category,
     phi,
@@ -27,6 +26,7 @@ from semicat import (
     radical_span,
     rebuild_semigroup,
     semisimple_image_check,
+    subsemilattice_violation,
     sum_down,
     verify_isomorphism,
 )
@@ -211,7 +211,7 @@ def test_criterion_9_variety_equivalence(zoo_members):
         holds = check_variety(es.S, plus, star).passed
         candidate = sorted(set(plus) | set(star))
         reproduced = False
-        if is_subsemilattice(es.S, candidate):
+        if subsemilattice_violation(es.S, candidate) is None:
             try:
                 redo = derive_structure(es.S, candidate)
                 reproduced = list(redo.plus) == plus and list(redo.star) == star

@@ -195,12 +195,6 @@ def test_left_order_variant(pt2, ssl, i2):
     assert report.bijection and not report.homomorphism
 
 
-def test_workers_give_identical_reports(b2):
-    serial = verify_isomorphism(b2, workers=1)
-    parallel = verify_isomorphism(b2, workers=3)
-    assert serial.to_json() == parallel.to_json()
-
-
 def test_workers_flag_is_accepted_and_has_no_effect(tmp_path, capsys):
     results = []
     for workers in ("1", "1000"):

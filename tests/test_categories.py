@@ -1,12 +1,15 @@
 import dataclasses
+import random
 
 import pytest
 
 from semicat import (
     build_category,
     corestriction,
+    derive_structure,
     rebuild_semigroup,
     restriction,
+    validate,
     verify_axioms,
 )
 from semicat import zoo
@@ -14,7 +17,9 @@ from semicat.errors import (
     NotBelowDomainError,
     NotBelowRangeError,
     NotComposableError,
+    SemicatError,
 )
+from semicat.reports import VerificationReport
 
 
 def test_monoid_category_has_one_object():
@@ -144,3 +149,304 @@ def test_monoid_pseudo_product_is_monoid_product():
     m = zoo.monoid_as_trivial_e(zoo.cyclic_group(5))
     rebuilt = rebuild_semigroup(build_category(m))
     assert rebuilt.S.table == m.S.table
+
+
+# --- verify_axioms and rebuild_semigroup against the nested loops ---------------
+
+
+def _down_lists(leq, n):
+    return [[y for y in range(n) if leq[y][x]] for x in range(n)]
+
+
+def reference_verify_axioms(C):
+    """Every axiom swept element by element, stopping at the first witness."""
+    n = C.n
+    rep = VerificationReport()
+    t = C.table
+
+    for label, leq in (("r", C.leq_r), ("l", C.leq_l)):
+        bad = reference_poset_violation(leq)
+        rep.add(f"poset[leq_{label}]", bad is None,
+                None if bad is None else {"kind": bad[0], "at": bad[1]})
+
+    witness = None
+    for x in range(n):
+        for y in range(n):
+            if C.composable(x, y):
+                xy = t[x][y]
+                if C.dom[xy] != C.dom[x] or C.cod[xy] != C.cod[y]:
+                    witness = {"x": x, "y": y}
+                    break
+        if witness:
+            break
+    rep.add("category[dom-cod-of-composition]", witness is None, witness)
+
+    witness = None
+    for e in C.objects:
+        if C.dom[e] != e or C.cod[e] != e:
+            witness = {"e": e}
+            break
+        for x in range(n):
+            if C.composable(e, x) and t[e][x] != x:
+                witness = {"e": e, "x": x}
+                break
+            if C.composable(x, e) and t[x][e] != x:
+                witness = {"x": x, "e": e}
+                break
+        if witness:
+            break
+    rep.add("category[identities]", witness is None, witness)
+
+    witness = None
+    for x in range(n):
+        for y in range(n):
+            if not C.composable(x, y):
+                continue
+            xy = t[x][y]
+            for z in range(n):
+                if C.composable(y, z) and t[xy][z] != t[x][t[y][z]]:
+                    witness = {"x": x, "y": y, "z": z}
+                    break
+            if witness:
+                break
+        if witness:
+            break
+    rep.add("category[associativity]", witness is None, witness)
+
+    for label, leq in (("r", C.leq_r), ("l", C.leq_l)):
+        pairs = [(x, y) for x in range(n) for y in range(n) if leq[x][y]]
+
+        witness = None
+        for x, y in pairs:
+            if not leq[C.dom[x]][C.dom[y]] or not leq[C.cod[x]][C.cod[y]]:
+                witness = {"x": x, "y": y}
+                break
+        rep.add(f"CO1[{label}]", witness is None, witness)
+
+        by_doms = {}
+        for u, v in pairs:
+            by_doms.setdefault((C.dom[u], C.dom[v]), []).append((u, v))
+        witness = None
+        for x, y in pairs:
+            for u, v in by_doms.get((C.cod[x], C.cod[y]), ()):
+                if not leq[t[x][u]][t[y][v]]:
+                    witness = {"x": x, "y": y, "u": u, "v": v}
+                    break
+            if witness:
+                break
+        rep.add(f"CO2[{label}]", witness is None, witness)
+
+        witness = None
+        for x, y in pairs:
+            if x != y and C.dom[x] == C.dom[y] and C.cod[x] == C.cod[y]:
+                witness = {"x": x, "y": y}
+                break
+        rep.add(f"CO3[{label}]", witness is None, witness)
+
+    down_r = _down_lists(C.leq_r, n)
+    down_l = _down_lists(C.leq_l, n)
+
+    witness = None
+    for x in range(n):
+        for e in C.objects:
+            if not C.object_leq(e, C.dom[x]):
+                continue
+            found = [y for y in down_r[x] if C.dom[y] == e]
+            if len(found) != 1 or found[0] != t[e][x]:
+                witness = {"e": e, "x": x, "candidates": found}
+                break
+        if witness:
+            break
+    rep.add("EC2[restriction-exists-unique]", witness is None, witness)
+
+    witness = None
+    for x in range(n):
+        for e in C.objects:
+            if not C.object_leq(e, C.cod[x]):
+                continue
+            found = [y for y in down_l[x] if C.cod[y] == e]
+            if len(found) != 1 or found[0] != t[x][e]:
+                witness = {"x": x, "e": e, "candidates": found}
+                break
+        if witness:
+            break
+    rep.add("EC3[corestriction-exists-unique]", witness is None, witness)
+
+    witness = None
+    for e in C.objects:
+        for f in C.objects:
+            if C.leq_r[e][f] != C.leq_l[e][f]:
+                witness = {"e": e, "f": f}
+                break
+        if witness:
+            break
+    rep.add("EC4[object-orders-agree]", witness is None, witness)
+
+    witness = None
+    for e in C.objects:
+        for f in C.objects:
+            lower = [g for g in C.objects if C.object_leq(g, e) and C.object_leq(g, f)]
+            tops = [g for g in lower if all(C.object_leq(h, g) for h in lower)]
+            if len(tops) != 1 or tops[0] != C.meet[(e, f)]:
+                witness = {"e": e, "f": f, "lower": lower}
+                break
+        if witness:
+            break
+    rep.add("EC5[object-meets]", witness is None, witness)
+
+    witness = None
+    for x in range(n):
+        for y in range(n):
+            rl = any(C.leq_r[x][z] and C.leq_l[z][y] for z in range(n))
+            lr = any(C.leq_l[x][z] and C.leq_r[z][y] for z in range(n))
+            if rl != lr:
+                witness = {"x": x, "y": y}
+                break
+        if witness:
+            break
+    rep.add("EC6[order-commutation]", witness is None, witness)
+
+    witness = None
+    for x in range(n):
+        for y in range(n):
+            if not C.leq_r[x][y]:
+                continue
+            for f in C.objects:
+                xc = t[x][C.meet[(C.cod[x], f)]]
+                yc = t[y][C.meet[(C.cod[y], f)]]
+                if not C.leq_r[xc][yc]:
+                    witness = {"x": x, "y": y, "f": f}
+                    break
+            if witness:
+                break
+        if witness:
+            break
+    rep.add("EC7[corestriction-monotone]", witness is None, witness)
+
+    witness = None
+    for x in range(n):
+        for y in range(n):
+            if not C.leq_l[x][y]:
+                continue
+            for f in C.objects:
+                xr = t[C.meet[(C.dom[x], f)]][x]
+                yr = t[C.meet[(C.dom[y], f)]][y]
+                if not C.leq_l[xr][yr]:
+                    witness = {"x": x, "y": y, "f": f}
+                    break
+            if witness:
+                break
+        if witness:
+            break
+    rep.add("EC8[restriction-monotone]", witness is None, witness)
+
+    return rep
+
+
+def reference_poset_violation(leq):
+    m = len(leq)
+    for x in range(m):
+        if not leq[x][x]:
+            return ("reflexive", (x,))
+    for x in range(m):
+        for y in range(m):
+            if x != y and leq[x][y] and leq[y][x]:
+                return ("antisymmetric", (x, y))
+    for x in range(m):
+        for y in range(m):
+            if not leq[x][y] and any(leq[x][z] and leq[z][y] for z in range(m)):
+                return ("transitive", (x, y))
+    return None
+
+
+def reference_rebuild_table(C):
+    return tuple(
+        tuple(C.table[C.table[x][C.meet[(C.cod[x], C.dom[y])]]][C.table[C.meet[(C.cod[x], C.dom[y])]][y]]
+              for y in range(C.n))
+        for x in range(C.n)
+    )
+
+
+def printed(report):
+    """The JSON form and the printed form, which shows the order of a witness's keys."""
+    return report.to_json(), [f"{c.name} {c.witness}" for c in report.checks]
+
+
+def test_verify_axioms_reports_as_the_loops_do_on_the_zoo(zoo_members):
+    for name, es in zoo_members.items():
+        C = build_category(es)
+        assert printed(verify_axioms(C)) == printed(reference_verify_axioms(C)), name
+
+
+def _flip(rows, x, y):
+    rows = [list(row) for row in rows]
+    rows[x][y] = not rows[x][y]
+    return tuple(map(tuple, rows))
+
+
+def single_field_mutant(C, rng):
+    """C with one table entry, end, order bit or meet entry changed."""
+    n, objects = C.n, C.objects
+    x, y = rng.randrange(n), rng.randrange(n)
+    field = rng.choice(["table", "dom", "cod", "leq_r", "leq_l", "meet"])
+    if field == "table":
+        rows = [list(row) for row in C.table]
+        rows[x][y] = rng.choice([v for v in range(n) if v != rows[x][y]] or [rows[x][y]])
+        return dataclasses.replace(C, table=tuple(map(tuple, rows)))
+    if field in ("dom", "cod"):
+        # ends stay objects: C.meet has no entry for any other element
+        ends = list(getattr(C, field))
+        ends[x] = rng.choice(objects)
+        return dataclasses.replace(C, **{field: tuple(ends)})
+    if field in ("leq_r", "leq_l"):
+        return dataclasses.replace(C, **{field: _flip(getattr(C, field), x, y)})
+    meet = dict(C.meet)
+    meet[(rng.choice(objects), rng.choice(objects))] = rng.randrange(n)
+    return dataclasses.replace(C, meet=meet)
+
+
+MUTANT_BASES = ("pt:2", "b:2", "six", "ssl:chain2:z2,z3", "i2", "op:3", "z:3")
+
+
+def test_verify_axioms_reports_as_the_loops_do_on_single_field_mutants(zoo_members):
+    rng = random.Random(2016)
+    failed = set()
+    for trial in range(350):
+        C = single_field_mutant(build_category(zoo_members[MUTANT_BASES[trial % len(MUTANT_BASES)]]), rng)
+        (got, got_text), (expect, expect_text) = printed(verify_axioms(C)), printed(reference_verify_axioms(C))
+        assert got == expect and got_text == expect_text, trial
+        failed.update(c["name"] for c in got["checks"] if not c["passed"])
+    # the mutants reach every check
+    assert failed == {c["name"] for c in expect["checks"]}
+
+
+def rebuild_outcome(build, C):
+    try:
+        ES = build(C)
+    except (SemicatError, KeyError) as err:
+        return type(err), str(err)
+    return ES.S.table, ES.E, ES.plus, ES.star
+
+
+def test_rebuild_is_the_pseudo_product_on_single_field_mutants(zoo_members):
+    rng = random.Random(7)
+    outcomes = set()
+    for trial in range(70):
+        C = single_field_mutant(build_category(zoo_members[MUTANT_BASES[trial % len(MUTANT_BASES)]]), rng)
+        got = rebuild_outcome(rebuild_semigroup, C)
+        expect = rebuild_outcome(
+            lambda C: derive_structure(validate(reference_rebuild_table(C)), C.objects), C)
+        assert got == expect, trial
+        outcomes.add(got[0] if isinstance(got[0], type) else "rebuilt")
+    assert "rebuilt" in outcomes and len(outcomes) > 1
+
+
+def test_rebuild_rejects_an_end_outside_the_objects_as_the_loop_does(pt2):
+    C = build_category(pt2)
+    x = next(a for a in range(C.n) if a not in C.objects)
+    bad = dataclasses.replace(C, cod=C.cod[:x] + (x,) + C.cod[x + 1:])
+    with pytest.raises(KeyError) as got:
+        rebuild_semigroup(bad)
+    with pytest.raises(KeyError) as expect:
+        reference_rebuild_table(bad)
+    assert got.value.args == expect.value.args

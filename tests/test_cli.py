@@ -54,6 +54,18 @@ def test_check_unreadable_and_malformed_inputs(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("field,value", [
+    ("E", "01"), ("E", ["0", 1.9]), ("E", [True, 1]), ("names", "ab"),
+])
+def test_check_malformed_e_or_names_is_input_error(tmp_path, capsys, field, value):
+    obj = {"n": 2, "table": [[0, 1], [1, 1]], "E": [0, 1], field: value}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    code, _, err = run(capsys, "check", "--input", str(path))
+    assert code == 2
+    assert field in err
+
+
 def test_check_without_e_lists_maximal_subsemilattices(tmp_path, capsys):
     pt2 = zoo.pt_n(2)
     obj = to_interchange(pt2.S)  # no E field

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -12,11 +13,12 @@ from semicat import (
     is_right_restriction,
     maximal_subsemilattices,
     order_containment,
+    subsemilattice_violation,
     tilde_relations,
     validate,
 )
 from semicat import zoo
-from semicat.ehresmann import EhresmannStructure, _subsemilattice_witness
+from semicat.ehresmann import EhresmannStructure
 from semicat.errors import (
     ClassWithTwoIdempotentsError,
     ClassWithoutIdempotentError,
@@ -24,6 +26,7 @@ from semicat.errors import (
     NotSubsemilatticeError,
     SemicatError,
 )
+from semicat.reports import VerificationReport
 from semicat.semigroups import FiniteSemigroup
 
 
@@ -171,22 +174,26 @@ def test_variety_trivial_semigroup():
     assert check_variety(S, (0,), (0,)).passed
 
 
+def mutated_maps(es, rng):
+    """+ and * with up to two entries each reassigned at random."""
+    plus, star = list(es.plus), list(es.star)
+    for _ in range(rng.randrange(0, 3)):
+        plus[rng.randrange(es.n)] = rng.randrange(es.n)
+    for _ in range(rng.randrange(0, 3)):
+        star[rng.randrange(es.n)] = rng.randrange(es.n)
+    return plus, star
+
+
 def test_variety_roundtrip_equivalence_on_mutations(zoo_members):
     rng = random.Random(90210)
     members = [zoo_members[k] for k in ("pt:2", "b:2", "six", "ssl:chain2:z2,z3")]
     for trial in range(60):
         es = members[trial % len(members)]
-        plus, star = list(es.plus), list(es.star)
-        for _ in range(rng.randrange(0, 3)):
-            plus[rng.randrange(es.n)] = rng.randrange(es.n)
-        for _ in range(rng.randrange(0, 3)):
-            star[rng.randrange(es.n)] = rng.randrange(es.n)
+        plus, star = mutated_maps(es, rng)
         passed = check_variety(es.S, plus, star).passed
         candidate_e = sorted(set(plus) | set(star))
         reproduced = False
-        from semicat import is_subsemilattice
-
-        if is_subsemilattice(es.S, candidate_e):
+        if subsemilattice_violation(es.S, candidate_e) is None:
             try:
                 redo = derive_structure(es.S, candidate_e)
                 reproduced = list(redo.plus) == plus and list(redo.star) == star
@@ -280,10 +287,36 @@ def test_maximal_subsemilattices_guard():
 # --- derive_structure against the per-pair loops -------------------------------
 
 
+def reference_subsemilattice_witness(S, E):
+    t = S.table
+    eset = set(E)
+    for e in E:
+        if t[e][e] != e:
+            return ("not idempotent", (e,))
+        for f in E:
+            if t[e][f] != t[f][e]:
+                return ("products do not commute", (e, f))
+            if t[e][f] not in eset:
+                return ("not closed", (e, f))
+    return None
+
+
+def test_subsemilattice_violation_is_the_loops_first_failure(zoo_members):
+    rng = random.Random(5)
+    kinds = set()
+    for trial in range(300):
+        es = list(zoo_members.values())[trial % len(zoo_members)]
+        E = sorted(rng.sample(range(es.n), rng.randint(1, min(es.n, 6))))
+        got = subsemilattice_violation(es.S, E)
+        assert got == reference_subsemilattice_witness(es.S, E)
+        kinds.add(got and got[0])
+    assert kinds == {None, "not idempotent", "products do not commute", "not closed"}
+
+
 def reference_derive(S, E):
     """The class maps, then the congruence identities and orders pair by pair."""
     E = tuple(sorted(set(E)))
-    bad = _subsemilattice_witness(S, E)
+    bad = reference_subsemilattice_witness(S, E)
     if bad is not None:
         raise NotSubsemilatticeError(*bad)
     tilde = tilde_relations(S, E)
@@ -355,3 +388,108 @@ def test_derive_on_idempotent_subsets_fails_as_the_loops_do(spec):
         if got[0] is CongruenceError:
             sides.add(got[2]["side"])
     assert sides
+
+
+# --- identity, restriction and containment checks against the per-pair loops ----
+
+
+def reference_check_variety(S, plus, star):
+    """Each identity evaluated instance by instance, stopping at the first failure."""
+    n, t = S.n, S.table
+
+    def p(x):
+        return plus[x]
+
+    def s(x):
+        return star[x]
+
+    identities = [
+        ("x+ x = x", 1, lambda x: t[p(x)][x] == x),
+        ("(x+ y+)+ = x+ y+", 2, lambda x, y: p(t[p(x)][p(y)]) == t[p(x)][p(y)]),
+        ("x+ y+ = y+ x+", 2, lambda x, y: t[p(x)][p(y)] == t[p(y)][p(x)]),
+        ("x+ (xy)+ = (xy)+", 2, lambda x, y: t[p(x)][p(t[x][y])] == p(t[x][y])),
+        ("(xy)+ = (x y+)+", 2, lambda x, y: p(t[x][y]) == p(t[x][p(y)])),
+        ("x x* = x", 1, lambda x: t[x][s(x)] == x),
+        ("(x* y*)* = x* y*", 2, lambda x, y: s(t[s(x)][s(y)]) == t[s(x)][s(y)]),
+        ("x* y* = y* x*", 2, lambda x, y: t[s(x)][s(y)] == t[s(y)][s(x)]),
+        ("(xy)* y* = (xy)*", 2, lambda x, y: t[s(t[x][y])][s(y)] == s(t[x][y])),
+        ("(xy)* = (x* y)*", 2, lambda x, y: s(t[x][y]) == s(t[s(x)][y])),
+        ("x(yz) = (xy)z", 3, lambda x, y, z: t[t[x][y]][z] == t[x][t[y][z]]),
+        ("(x+)* = x+", 1, lambda x: s(p(x)) == p(x)),
+        ("(x*)+ = x*", 1, lambda x: p(s(x)) == s(x)),
+    ]
+    report = VerificationReport()
+    for name, arity, check in identities:
+        witness = None
+        for args in itertools.product(range(n), repeat=arity):
+            if not check(*args):
+                witness = dict(zip("xyz", args))
+                break
+        report.add(name, witness is None, witness)
+    return report
+
+
+def reference_restriction(ES, side):
+    """ae = (ae)+ a (side "left") or ea = a (ea)* (side "right") for all a, e."""
+    t = ES.S.table
+    for a in range(ES.n):
+        for e in ES.E:
+            if side == "left" and t[a][e] != t[ES.plus[t[a][e]]][a]:
+                return False, (a, e)
+            if side == "right" and t[e][a] != t[a][ES.star[t[e][a]]]:
+                return False, (a, e)
+    return True, None
+
+
+def reference_containment(inner, outer):
+    for a in range(len(inner)):
+        for b in range(len(inner)):
+            if inner[a][b] and not outer[a][b]:
+                return False, (a, b)
+    return True, None
+
+
+def assert_checks_match_the_loops(es):
+    assert check_variety(es.S, es.plus, es.star).to_json() == \
+        reference_check_variety(es.S, es.plus, es.star).to_json()
+    assert is_left_restriction(es) == reference_restriction(es, "left")
+    assert is_right_restriction(es) == reference_restriction(es, "right")
+    got = order_containment(es)
+    assert (got.l_in_r, got.l_in_r_witness) == reference_containment(es.leq_l, es.leq_r)
+    assert (got.r_in_l, got.r_in_l_witness) == reference_containment(es.leq_r, es.leq_l)
+
+
+def test_checks_match_the_loops_on_the_zoo(zoo_members):
+    for es in zoo_members.values():
+        assert_checks_match_the_loops(es)
+
+
+def test_checks_match_the_loops_on_mutated_maps_and_tables(zoo_members):
+    rng = random.Random(4711)
+    members = [zoo_members[k] for k in ("pt:2", "b:2", "six", "ssl:chain2:z2,z3", "i2", "op:3")]
+    failed = set()
+    for trial in range(240):
+        es = members[trial % len(members)]
+        plus, star = mutated_maps(es, rng)
+        table = [list(row) for row in es.S.table]
+        orders = {"leq_r": es.leq_r, "leq_l": es.leq_l}
+        if trial % 3 == 0:
+            table[rng.randrange(es.n)][rng.randrange(es.n)] = rng.randrange(es.n)
+        if trial % 4 == 0:
+            name = rng.choice(sorted(orders))
+            rows = [list(row) for row in orders[name]]
+            x, y = rng.randrange(es.n), rng.randrange(es.n)
+            rows[x][y] = not rows[x][y]
+            orders[name] = rows
+        mutant = EhresmannStructure(FiniteSemigroup(es.n, tuple(map(tuple, table))), es.E,
+                                    tuple(plus), tuple(star), orders["leq_r"], orders["leq_l"])
+        assert_checks_match_the_loops(mutant)
+        report = check_variety(mutant.S, mutant.plus, mutant.star)
+        failed.update(c.name for c in report.failures())
+        containment = order_containment(mutant)
+        failed.update(name for name, ok in (("left", is_left_restriction(mutant)[0]),
+                                            ("right", is_right_restriction(mutant)[0]),
+                                            ("l_in_r", containment.l_in_r),
+                                            ("r_in_l", containment.r_in_l)) if not ok)
+    # the mutants reach every identity and fail every restriction and containment check
+    assert len(failed) == 13 + 4

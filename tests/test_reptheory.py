@@ -145,6 +145,37 @@ def test_object_iso_classes_match_d_classes(zoo_members):
         assert {frozenset(c) for c in rep.object_iso_classes} == expected
 
 
+def reference_object_iso_classes(es, C):
+    """Objects joined along every invertible morphism a: a+ -> a*, by union-find."""
+    parent = {e: e for e in es.E}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a in invertible_morphisms(es, C):
+        re, rf = find(es.plus[a]), find(es.star[a])
+        if re != rf:
+            parent[max(re, rf)] = min(re, rf)
+    groups = {}
+    for e in es.E:
+        groups.setdefault(find(e), []).append(e)
+    return tuple(tuple(v) for _, v in sorted(groups.items()))
+
+
+def test_object_iso_classes_match_union_find(zoo_members):
+    members = {**zoo_members, "t:3": zoo.parse_zoo_spec("t:3"), "op:4": zoo.parse_zoo_spec("op:4")}
+    merged = False
+    for name, es in members.items():
+        C = build_category(es)
+        classes = ei_report(es, C).object_iso_classes
+        assert classes == reference_object_iso_classes(es, C), name
+        merged |= any(len(c) > 1 for c in classes)
+    assert merged
+
+
 def test_groupoid_iff_inverse_with_full_idempotents(zoo_members):
     from semicat import idempotents
 

@@ -11,10 +11,10 @@ from semicat import (
     idempotents,
     identity_of,
     is_inverse,
-    is_subsemilattice,
     opposite,
     product,
     subsemigroup,
+    subsemilattice_violation,
     to_interchange,
     validate,
 )
@@ -157,12 +157,14 @@ def test_green_on_commutative_band_is_equality():
 
 def test_is_subsemilattice():
     S = validate(Z2)
-    assert is_subsemilattice(S, [0])
-    assert not is_subsemilattice(S, [0, 1])  # 1 is not idempotent
+    assert subsemilattice_violation(S, [0]) is None
+    assert subsemilattice_violation(S, [0, 1]) == ("not idempotent", (1,))
+    assert subsemilattice_violation(S, [0, 2]) == ("out of range", (2,))
+    assert subsemilattice_violation(S, [-1, 0]) == ("out of range", (-1,))
 
 
 def test_is_subsemilattice_b2_partial_identities(b2):
-    assert is_subsemilattice(b2.S, b2.E)
+    assert subsemilattice_violation(b2.S, b2.E) is None
     assert len(b2.E) == 4
 
 
@@ -200,6 +202,21 @@ def test_interchange_roundtrip(b2):
 def test_interchange_rejects_bad_e(pt2):
     obj = to_interchange(pt2.S, [99])
     with pytest.raises(ValueError):
+        from_interchange(obj)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("E", "01"),              # a string, which int() would read as (0, 1)
+    ("E", ["0", 1.9]),        # int() would read (0, 1)
+    ("E", [True, 1]),         # int() would read (1,)
+    ("E", 3),
+    ("names", "abcdefghi"),   # a string, which would be split into characters
+    ("names", {"a": 1}),
+])
+def test_interchange_rejects_malformed_e_and_names(pt2, field, value):
+    obj = to_interchange(pt2.S, pt2.E)
+    obj[field] = value
+    with pytest.raises(ValueError, match=field):
         from_interchange(obj)
 
 
