@@ -97,7 +97,7 @@ def _mul_table(table, u, v):
     for i, ci in u.items():
         row = table[i]
         for j, cj in v.items():
-            k = row[j]
+            k = int(row[j])
             acc[k] = acc.get(k, 0) + ci * cj
     return {k: c for k, c in acc.items() if c != 0}
 
@@ -110,7 +110,7 @@ def _mul_partial(table, cod, dom, u, v):
         for j, cj in v.items():
             if ci_cod != dom[j]:
                 continue
-            k = row[j]
+            k = int(row[j])
             acc[k] = acc.get(k, 0) + ci * cj
     return {k: c for k, c in acc.items() if c != 0}
 
@@ -289,20 +289,20 @@ def verify_isomorphism(ES, order="r") -> IsoReport:
                 bijection_witness = {"direction": "phi(psi(x))", "x": x, "got": _rational(acc)}
                 break
 
-    leq = np.array(ES.leq_r if order == "r" else ES.leq_l, dtype=bool)
-    case1, case2 = _hom_sweep(np.array(table, dtype=np.int64), np.array(cod), np.array(dom), leq)
+    case1, case2 = _hom_sweep(table, cod, dom, ES.leq_r if order == "r" else ES.leq_l)
 
     expansion = None
     failures = sorted(case1 + case2)
     if failures:
         a, b = failures[0]
+        ab = int(table[a, b])
         expansion = {
             "a": a,
             "b": b,
-            "ab": table[a][b],
+            "ab": ab,
             "phi_a": _rational(phis[a]),
             "phi_b": _rational(phis[b]),
-            "phi_ab": _rational(phis[table[a][b]]),
+            "phi_ab": _rational(phis[ab]),
             "phi_a_phi_b": _rational(_mul_partial(table, cod, dom, phis[a], phis[b])),
         }
 

@@ -12,6 +12,7 @@ where ^ is the object meet and (e | x), (x | e) are restriction and
 co-restriction.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,40 +25,51 @@ from .errors import (
 from .linalg import exact_matmul
 from .posets import poset_violation
 from .reports import VerificationReport, first_witness
-from .semigroups import validate
+from .semigroups import freeze_fields, kept, validate
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EhresmannCategory:
-    n: int              # number of morphisms
-    objects: tuple      # sorted subset of morphism indices (the identities)
-    dom: tuple
-    cod: tuple
-    table: tuple        # composition values; consulted only on composable pairs
-    leq_r: tuple
-    leq_l: tuple
-    meet: dict          # (e, f) -> object meet, for e, f in objects
+    n: int                  # number of morphisms
+    objects: tuple          # sorted subset of morphism indices (the identities)
+    dom: np.ndarray
+    cod: np.ndarray
+    table: np.ndarray       # composition values; consulted only on composable pairs
+    leq_r: np.ndarray
+    leq_l: np.ndarray
+    meet: dict              # (e, f) -> object meet, for e, f in objects
+
+    def __post_init__(self):
+        freeze_fields(self, dom=np.int64, cod=np.int64, table=np.int64, leq_r=bool, leq_l=bool)
 
     def is_object(self, e):
         return (e, e) in self.meet
 
     def composable(self, x, y):
-        return self.cod[x] == self.dom[y]
+        return bool(self.cod[x] == self.dom[y])
 
     def compose(self, x, y):
         if not self.composable(x, y):
             raise NotComposableError(x, y)
-        return self.table[x][y]
+        return int(self.table[x, y])
 
     def object_leq(self, e, f):
-        return self.leq_r[e][f]
+        return bool(self.leq_r[e, f])
 
     def __repr__(self):
         return f"EhresmannCategory(morphisms={self.n}, objects={len(self.objects)})"
 
 
 def build_category(ES) -> EhresmannCategory:
-    meet = {(e, f): ES.S.table[e][f] for e in ES.E for f in ES.E}
+    """The category of ES, built once and kept in ES's instance dictionary.
+
+    It shares ES's arrays: dom is +, cod is *, the table and both orders.
+    """
+    return kept(ES, "_category", _category)
+
+
+def _category(ES):
+    meets = ES.S.table[np.ix_(ES.E, ES.E)].ravel().tolist()
     return EhresmannCategory(
         n=ES.n,
         objects=tuple(ES.E),
@@ -66,7 +78,7 @@ def build_category(ES) -> EhresmannCategory:
         table=ES.S.table,
         leq_r=ES.leq_r,
         leq_l=ES.leq_l,
-        meet=meet,
+        meet=dict(zip(itertools.product(ES.E, ES.E), meets)),
     )
 
 
@@ -74,14 +86,14 @@ def restriction(C, e, x):
     """(e | x): the unique y <=_r x with dom(y) = e, realized as the product e*x."""
     if not C.is_object(e) or not C.object_leq(e, C.dom[x]):
         raise NotBelowDomainError(e, x)
-    return C.table[e][x]
+    return int(C.table[e, x])
 
 
 def corestriction(C, x, e):
     """(x | e): the unique y <=_l x with cod(y) = e, realized as the product x*e."""
     if not C.is_object(e) or not C.object_leq(e, C.cod[x]):
         raise NotBelowRangeError(x, e)
-    return C.table[x][e]
+    return int(C.table[x, e])
 
 
 def verify_axioms(C) -> VerificationReport:
@@ -95,10 +107,8 @@ def verify_axioms(C) -> VerificationReport:
     """
     n = C.n
     rep = VerificationReport()
-    t = np.array(C.table, dtype=np.int64)
-    dom, cod = np.array(C.dom), np.array(C.cod)
+    t, dom, cod, r, l = C.table, C.dom, C.cod, C.leq_r, C.leq_l
     objects = np.array(C.objects, dtype=np.int64)
-    r, l = np.array(C.leq_r, dtype=bool), np.array(C.leq_l, dtype=bool)
 
     for label, leq in (("r", r), ("l", l)):
         bad = poset_violation(leq)
@@ -281,10 +291,10 @@ def rebuild_semigroup(C):
     """
     from .ehresmann import derive_structure
 
-    t = np.array(C.table, dtype=np.int64)
-    m = _meets(C, np.array(C.cod), np.array(C.dom))  # cod(x) ^ dom(y)
+    t = C.table
+    m = _meets(C, C.cod, C.dom)  # cod(x) ^ dom(y)
     arange = np.arange(C.n)
-    S = validate(t[t[arange[:, None], m], t[m, arange]].tolist())
+    S = validate(t[t[arange[:, None], m], t[m, arange]])
     return derive_structure(S, C.objects)
 
 
@@ -292,8 +302,8 @@ def category_to_json(C) -> dict:
     """Dump format used by the CLI: objects, dom, cod and both order relations."""
     return {
         "objects": list(C.objects),
-        "dom": list(C.dom),
-        "cod": list(C.cod),
-        "leq_r": [[x, y] for x in range(C.n) for y in range(C.n) if C.leq_r[x][y]],
-        "leq_l": [[x, y] for x in range(C.n) for y in range(C.n) if C.leq_l[x][y]],
+        "dom": C.dom.tolist(),
+        "cod": C.cod.tolist(),
+        "leq_r": np.argwhere(C.leq_r).tolist(),
+        "leq_l": np.argwhere(C.leq_l).tolist(),
     }

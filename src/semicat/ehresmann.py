@@ -25,20 +25,26 @@ from .errors import (
 from .reports import VerificationReport, first_witness
 from .semigroups import (
     FiniteSemigroup,
-    associativity_witness,
+    associativity_failure,
+    class_ids,
+    class_members,
+    freeze_fields,
     idempotents,
     subsemilattice_violation,
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EhresmannStructure:
     S: FiniteSemigroup
-    E: tuple            # sorted indices of the distinguished semilattice
-    plus: tuple         # a -> a+
-    star: tuple         # a -> a*
-    leq_r: tuple        # leq_r[a][b] iff a <=_r b
-    leq_l: tuple
+    E: tuple                # sorted indices of the distinguished semilattice
+    plus: np.ndarray        # a -> a+
+    star: np.ndarray        # a -> a*
+    leq_r: np.ndarray       # leq_r[a, b] iff a <=_r b
+    leq_l: np.ndarray
+
+    def __post_init__(self):
+        freeze_fields(self, plus=np.int64, star=np.int64, leq_r=bool, leq_l=bool)
 
     @property
     def n(self):
@@ -48,38 +54,24 @@ class EhresmannStructure:
         return f"EhresmannStructure(n={self.S.n}, |E|={len(self.E)})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TildeClasses:
-    r_classes: tuple    # tuples of element indices, sorted by least member
+    r_classes: tuple        # tuples of element indices, sorted by least member
     l_classes: tuple
     h_classes: tuple
-    r_index: tuple      # element -> position of its class in r_classes
-    l_index: tuple
-    h_index: tuple
-
-
-def _group(keys):
-    by_key = {}
-    for x, k in enumerate(keys):
-        by_key.setdefault(k, []).append(x)
-    classes = sorted((tuple(v) for v in by_key.values()), key=lambda c: c[0])
-    index = [0] * len(keys)
-    for i, cls in enumerate(classes):
-        for x in cls:
-            index[x] = i
-    return tuple(classes), tuple(index)
+    r_index: np.ndarray     # element -> position of its class in r_classes
+    l_index: np.ndarray
+    h_index: np.ndarray
 
 
 def tilde_relations(S, E) -> TildeClasses:
     """Partitions by equality of left / right identity sets from E."""
-    t = S.table
-    E = tuple(sorted(set(E)))
-    left_ids = [frozenset(e for e in E if t[e][a] == a) for a in range(S.n)]
-    right_ids = [frozenset(e for e in E if t[a][e] == a) for a in range(S.n)]
-    r_classes, r_index = _group(left_ids)
-    l_classes, l_index = _group(right_ids)
-    h_classes, h_index = _group(list(zip(left_ids, right_ids)))
-    return TildeClasses(r_classes, l_classes, h_classes, r_index, l_index, h_index)
+    E = sorted(set(E))
+    a = np.arange(S.n)[:, None]
+    r = class_ids(np.packbits(S.table[E, :].T == a, axis=1))  # rows: the e in E with ea = a
+    l = class_ids(np.packbits(S.table[:, E] == a, axis=1))    # rows: the e in E with ae = a
+    h = class_ids(np.stack([r, l], axis=1))
+    return TildeClasses(*(tuple(class_members(ids)) for ids in (r, l, h)), r, l, h)
 
 
 def derive_structure(S, E) -> EhresmannStructure:
@@ -93,40 +85,40 @@ def derive_structure(S, E) -> EhresmannStructure:
     if bad is not None:
         raise NotSubsemilatticeError(*bad)
     tilde = tilde_relations(S, E)
-    eset = set(E)
-    n, t = S.n, S.table
+    e = np.array(E, dtype=np.int64)
+    p = _representatives("tilde-R", tilde.r_classes, tilde.r_index, e)
+    s = _representatives("tilde-L", tilde.l_classes, tilde.l_index, e)
 
-    plus = [None] * n
-    for cls in tilde.r_classes:
-        reps = [e for e in cls if e in eset]
-        if not reps:
-            raise ClassWithoutIdempotentError("tilde-R", cls)
-        if len(reps) > 1:
-            raise ClassWithTwoIdempotentsError("tilde-R", cls, reps[0], reps[1])
-        for a in cls:
-            plus[a] = reps[0]
-    star = [None] * n
-    for cls in tilde.l_classes:
-        reps = [e for e in cls if e in eset]
-        if not reps:
-            raise ClassWithoutIdempotentError("tilde-L", cls)
-        if len(reps) > 1:
-            raise ClassWithTwoIdempotentsError("tilde-L", cls, reps[0], reps[1])
-        for a in cls:
-            star[a] = reps[0]
-
-    table, p, s = np.array(t), np.array(plus), np.array(star)
-    bad_plus = p[table] != p[table[:, p]]    # (ab)+ != (ab+)+
-    bad_star = s[table] != s[table[s, :]]    # (ab)* != (a*b)*
+    t = S.table
+    bad_plus = p[t] != p[t[:, p]]    # (ab)+ != (ab+)+
+    bad_star = s[t] != s[t[s, :]]    # (ab)* != (a*b)*
     bad = first_witness(bad_plus | bad_star, ("a", "b"))
     if bad:
         a, b = bad["a"], bad["b"]
         raise CongruenceError("plus" if bad_plus[a, b] else "star", a, b)
 
-    column = np.arange(n)[:, None]
-    leq_r = tuple(map(tuple, (table[p, :] == column).tolist()))    # a = a+ b
-    leq_l = tuple(map(tuple, (table[:, s].T == column).tolist()))  # a = b a*
-    return EhresmannStructure(S, E, tuple(plus), tuple(star), leq_r, leq_l)
+    column = np.arange(S.n)[:, None]
+    # a <=_r b iff a = a+ b, and a <=_l b iff a = b a*
+    return EhresmannStructure(S, E, p, s, t[p, :] == column, t[:, s].T == column)
+
+
+def _representatives(side, classes, index, E):
+    """The map sending each element to the one member of E in its class.
+
+    Raises for the first class, in class order, that holds no member of E or
+    more than one (naming its two least members of E).
+    """
+    count = np.bincount(index[E], minlength=len(classes))
+    bad = first_witness(count != 1, ("c",))
+    if bad:
+        c = bad["c"]
+        if count[c] == 0:
+            raise ClassWithoutIdempotentError(side, classes[c])
+        e, f = E[index[E] == c][:2].tolist()
+        raise ClassWithTwoIdempotentsError(side, classes[c], e, f)
+    rep = np.empty(len(classes), dtype=np.int64)
+    rep[index[E]] = E
+    return rep[index]
 
 
 # The thirteen identities characterizing the structures accepted by
@@ -163,11 +155,11 @@ def check_variety(S, plus, star) -> VerificationReport:
     The maps may be arbitrary assignments; each identity is reported with its
     lexicographically first failing instance.
     """
-    t = np.array(S.table, dtype=np.int64)
-    p, s = np.array(plus, dtype=np.int64), np.array(star, dtype=np.int64)
+    t = S.table
+    p, s = np.asarray(plus, dtype=np.int64), np.asarray(star, dtype=np.int64)
     masks = _plus_failures(t, p) + [m.T for m in _plus_failures(t.T, s)]
     witnesses = [first_witness(m, ("x", "y")) for m in masks]
-    witnesses += [associativity_witness(t), first_witness(s[p] != p, ("x",)),
+    witnesses += [associativity_failure(S), first_witness(s[p] != p, ("x",)),
                   first_witness(p[s] != s, ("x",))]
     report = VerificationReport()
     for name, witness in zip(_IDENTITY_NAMES, witnesses):
@@ -177,7 +169,6 @@ def check_variety(S, plus, star) -> VerificationReport:
 
 def _restriction(t, E, unary):
     """(ok, first (a, e)) for ae = (ae)' a over all a in S, e in E, where ' is unary."""
-    E = np.array(E, dtype=np.int64)
     ae = t[:, E]
     bad = first_witness(ae != t[unary[ae], np.arange(len(t))[:, None]], ("a", "e"), e=E)
     return (True, None) if bad is None else (False, (bad["a"], bad["e"]))
@@ -185,7 +176,7 @@ def _restriction(t, E, unary):
 
 def is_left_restriction(ES):
     """Check ae = (ae)+ a for all a in S, e in E; returns (ok, witness)."""
-    return _restriction(np.array(ES.S.table, dtype=np.int64), ES.E, np.array(ES.plus))
+    return _restriction(ES.S.table, ES.E, ES.plus)
 
 
 def is_right_restriction(ES):
@@ -193,7 +184,7 @@ def is_right_restriction(ES):
 
     This is the left check in the opposite semigroup, with * for +.
     """
-    return _restriction(np.array(ES.S.table, dtype=np.int64).T, ES.E, np.array(ES.star))
+    return _restriction(ES.S.table.T, ES.E, ES.star)
 
 
 @dataclass(frozen=True)
@@ -217,7 +208,7 @@ class OrderContainment:
 
 
 def _containment(inner, outer):
-    bad = first_witness(np.asarray(inner, dtype=bool) & ~np.asarray(outer, dtype=bool), ("a", "b"))
+    bad = first_witness(inner & ~outer, ("a", "b"))
     return (True, None) if bad is None else (False, (bad["a"], bad["b"]))
 
 

@@ -8,6 +8,7 @@ import numpy as np
 from .errors import NotAPosetError
 from .linalg import INT64_SAFE, abs_max, exact_matmul
 from .reports import first_witness
+from .semigroups import kept
 
 
 def poset_violation(leq):
@@ -132,11 +133,12 @@ def order_data(structure, order="r") -> OrderData:
     dataclass still has one), so later calls for the same structure and order
     read the same copy.
     """
-    cache = vars(structure).setdefault("_order_data", {})
-    if order not in cache:
-        P = order_poset(structure, order)
-        mu = moebius(P).matrix
-        down = tuple(tuple(int(y) for y in np.flatnonzero(col)) for col in np.array(P.leq).T)
-        psi_terms = tuple({y: int(mu[y, x]) for y in down[x] if mu[y, x]} for x in range(P.m))
-        cache[order] = OrderData(down, psi_terms)
-    return cache[order]
+    return kept(structure, f"_order_data_{order}", _order_data, order)
+
+
+def _order_data(structure, order):
+    mu = moebius(order_poset(structure, order)).matrix
+    leq = structure.leq_r if order == "r" else structure.leq_l
+    down = tuple(tuple(np.flatnonzero(col).tolist()) for col in leq.T)
+    psi_terms = tuple({y: int(mu[y, x]) for y in down[x] if mu[y, x]} for x in range(len(down)))
+    return OrderData(down, psi_terms)

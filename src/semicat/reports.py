@@ -24,7 +24,11 @@ def first_witness(mask, names, **values):
 
 
 def jsonable(value):
-    """Recursively convert Fractions, tuples and sets into JSON-friendly values."""
+    """Recursively convert Fractions, tuples, sets and numpy scalars into JSON values.
+
+    numpy integers and bools become Python ints and bools; any other type
+    raises TypeError, so nothing reaches a report through an unplanned str().
+    """
     if isinstance(value, Fraction):
         return str(value)
     if isinstance(value, dict):
@@ -37,7 +41,9 @@ def jsonable(value):
         return value
     if isinstance(value, (int, float, str)):
         return value
-    return str(value)
+    if isinstance(value, (np.bool_, np.integer)):
+        return value.item()
+    raise TypeError(f"a report cannot hold a value of type {type(value).__name__}")
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,8 @@ rational elimination; there are no tolerances anywhere.
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .algebras import basis_element, psi
 from .errors import (
     InconsistentComputationError,
@@ -20,8 +22,8 @@ from .errors import (
 )
 from .ehresmann import is_left_restriction, is_right_restriction, tilde_relations
 from .linalg import nullspace, rank
-from .reports import jsonable
-from .semigroups import green, idempotents
+from .reports import first_witness, jsonable
+from .semigroups import green, kept
 
 
 def invertible_morphisms(ES, C) -> tuple:
@@ -32,27 +34,17 @@ def invertible_morphisms(ES, C) -> tuple:
     result depends on ES alone and is kept in its instance dictionary, so
     later calls for the same structure read the same copy.
     """
-    cache = vars(ES)
-    if "_invertible_morphisms" not in cache:
-        cache["_invertible_morphisms"] = _invertible_morphisms(ES)
-    return cache["_invertible_morphisms"]
+    return kept(ES, "_invertible_morphisms", _invertible_morphisms)
 
 
 def _invertible_morphisms(ES):
     g = green(ES.S)
-    n, t = ES.n, ES.S.table
-    by_green = tuple(
-        a for a in range(n)
-        if g.r_class[a] == g.r_class[ES.plus[a]] and g.l_class[a] == g.l_class[ES.star[a]]
-    )
-    brute = tuple(
-        a for a in range(n)
-        if any(
-            ES.plus[b] == ES.star[a] and ES.star[b] == ES.plus[a]
-            and t[a][b] == ES.plus[a] and t[b][a] == ES.star[a]
-            for b in range(n)
-        )
-    )
+    t, p, s = ES.S.table, ES.plus, ES.star
+    by_green = (g.r_class == g.r_class[p]) & (g.l_class == g.l_class[s])
+    by_green = tuple(np.flatnonzero(by_green).tolist())
+    # inverse[a, b]: b runs from a* to a+, ab = a+ and ba = a*
+    inverse = (p == s[:, None]) & (s == p[:, None]) & (t == p[:, None]) & (t.T == s[:, None])
+    brute = tuple(np.flatnonzero(inverse.any(axis=1)).tolist())
     if by_green != brute:
         raise InconsistentComputationError(
             "invertible morphisms", {"green": by_green, "brute": brute}
@@ -77,35 +69,39 @@ def reg_e(ES) -> RegESet:
     from .categories import build_category
 
     elems = invertible_morphisms(ES, build_category(ES))
-    eset = set(elems)
-    t = ES.S.table
-    for a in elems:
-        for b in elems:
-            if t[a][b] not in eset:
-                raise NotClosedError("reg_e product", (a, b))
+    t, a = ES.S.table, np.array(elems, dtype=np.int64)
+    in_reg = np.zeros(ES.n, dtype=bool)
+    in_reg[a] = True
+    sub = t[np.ix_(a, a)]
+    found = first_witness(~in_reg[sub], ("a", "b"), a=a, b=a)
+    if found:
+        raise NotClosedError("reg_e product", (found["a"], found["b"]))
 
-    subset_idempotents = {a for a in elems if t[a][a] == a}
-    if subset_idempotents != set(ES.E):
+    subset_idempotents = a[sub.diagonal() == a].tolist()
+    if set(subset_idempotents) != set(ES.E):
         raise InconsistentComputationError(
-            "reg_e idempotents", {"found": sorted(subset_idempotents), "E": ES.E}
+            "reg_e idempotents", {"found": subset_idempotents, "E": ES.E}
         )
 
-    inverse_map = {}
-    for a in elems:
-        invs = [b for b in elems if t[t[a][b]][a] == a and t[t[b][a]][b] == b]
-        if len(invs) != 1:
-            raise InconsistentComputationError("reg_e unique inverse", {"a": a, "invs": invs})
-        b = invs[0]
-        if t[a][b] != ES.plus[a] or t[b][a] != ES.star[a]:
-            raise InconsistentComputationError("reg_e inverse laws", {"a": a, "b": b})
-        inverse_map[a] = b
+    aba = t[sub, a[:, None]] == a[:, None]   # aba[i, j]: (a_i a_j) a_i = a_i
+    invs = aba & aba.T                        # a_j is an inverse of a_i
+    count = invs.sum(axis=1)
+    b = a[invs.argmax(axis=1)]
+    laws = (t[a, b] == ES.plus[a]) & (t[b, a] == ES.star[a])
+    found = first_witness((count != 1) | ~laws, ("i",))
+    if found:
+        i = found["i"]
+        if count[i] != 1:
+            raise InconsistentComputationError(
+                "reg_e unique inverse", {"a": int(a[i]), "invs": a[invs[i]].tolist()})
+        raise InconsistentComputationError("reg_e inverse laws", {"a": int(a[i]), "b": int(b[i])})
 
-    for a in elems:
-        for b in range(ES.n):
-            if (ES.leq_r[b][a] or ES.leq_l[b][a]) and b not in eset:
-                raise InconsistentComputationError("reg_e down ideal", {"a": a, "b": b})
+    outside = (ES.leq_r[:, a] | ES.leq_l[:, a]).T & ~in_reg  # [i, b]: b <= a_i, b not in Reg_E
+    found = first_witness(outside, ("a", "b"), a=a)
+    if found:
+        raise InconsistentComputationError("reg_e down ideal", found)
 
-    return RegESet(elems, inverse_map)
+    return RegESet(elems, dict(zip(elems, b.tolist())))
 
 
 @dataclass(frozen=True)
@@ -135,52 +131,51 @@ def ei_report(ES, C) -> EIReport:
 
     A category is EI iff every endomorphism monoid is a group; here that is
     equivalent to the tilde-H class of each object agreeing with its H-class.
-    Both routes are computed and compared.
+    Both routes are computed and compared.  The result depends on ES alone
+    and is kept in its instance dictionary.
     """
+    return kept(ES, "_ei_report", _ei_report, C)
+
+
+def _ei_report(ES, C):
     g = green(ES.S)
     tilde = tilde_relations(ES.S, ES.E)
-    n, t = ES.n, ES.S.table
+    n, t, p, s = ES.n, ES.S.table, ES.plus, ES.star
+    E = np.array(ES.E, dtype=np.int64)
+    e = E[:, None]
+    # rows are objects e, columns elements a
+    tilde_h = tilde.h_index == tilde.h_index[e]
+    green_h = g.h_class == g.h_class[e]
+    endo = (p == e) & (s == e)
+    # a loop a: e -> e is invertible in End(e) iff some b: e -> e has ab = ba = e
+    loop = p == s
+    has_inverse = (loop & (p == p[:, None]) & (t == p[:, None]) & (t.T == p[:, None])).any(axis=1)
+    group = np.bincount(p[loop & ~has_inverse], minlength=n)[E] == 0
+    bad = np.stack([(tilde_h != endo).any(axis=1), (tilde_h == green_h).all(axis=1) != group],
+                   axis=1)
+    found = first_witness(bad, ("e", "kind"), e=E)
+    if found:
+        kind = ("tilde-H vs endomorphisms", "EI criterion")[found["kind"]]
+        raise InconsistentComputationError(kind, {"e": found["e"]})
+    witness = first_witness(~group[:, None] & tilde_h & ~green_h, ("object", "endomorphism"),
+                            object=E)
 
-    witness = None
-    for e in ES.E:
-        tilde_h = {a for a in range(n) if tilde.h_index[a] == tilde.h_index[e]}
-        green_h = {a for a in range(n) if g.h_class[a] == g.h_class[e]}
-        endo = {a for a in range(n) if ES.plus[a] == e and ES.star[a] == e}
-        if tilde_h != endo:
-            raise InconsistentComputationError("tilde-H vs endomorphisms", {"e": e})
-        group = all(
-            any(t[a][b] == e and t[b][a] == e for b in endo) for a in endo
-        )
-        if (tilde_h == green_h) != group:
-            raise InconsistentComputationError("EI criterion", {"e": e})
-        if not group and witness is None:
-            bad = sorted(tilde_h - green_h)[0]
-            witness = {"object": e, "endomorphism": bad}
-
-    e_all = idempotents(ES.S)
-    eset = set(ES.E)
-    maximal_witness = None
-    for f in sorted(e_all - eset):
-        if all(t[e][f] == t[f][e] for e in ES.E):
-            maximal_witness = f
-            break
+    outside = t.diagonal() == np.arange(n)    # idempotents outside E commuting with E
+    outside[E] = False
+    found = first_witness(outside & (t[E, :] == t[:, E].T).all(axis=0), ("f",))
+    maximal_witness = None if found is None else found["f"]
 
     # objects e, f are isomorphic iff an invertible a has a+ = e and a* = f;
     # for idempotents that is e D f: e R a L f for some a, and then a is
     # invertible with a+ = e and a* = f
-    groups = {}
-    for e in ES.E:
-        groups.setdefault(g.d_class[e], []).append(e)
-    iso_classes = tuple(tuple(v) for v in groups.values())
+    d = g.d_class[E]
+    iso_classes = tuple(tuple(E[d == c].tolist()) for c in dict.fromkeys(d.tolist()))
 
-    endo_counts = {
-        e: sum(1 for a in range(n) if ES.plus[a] == e and ES.star[a] == e)
-        for e in ES.E
-    }
+    loops_at = np.bincount(p[loop], minlength=n)
     return EIReport(
         is_ei=witness is None,
         witness=witness,
-        endomorphism_counts=endo_counts,
+        endomorphism_counts={e: int(loops_at[e]) for e in ES.E},
         e_is_maximal_semilattice=maximal_witness is None,
         maximal_witness=maximal_witness,
         object_iso_classes=iso_classes,
@@ -195,7 +190,7 @@ def is_ei(ES, C):
 
 def semigroup_mul(S):
     """Structure constants of the semigroup algebra, as a basis-pair callable."""
-    t = S.table
+    t = S.table.tolist()
 
     def mul(i, j):
         return {t[i][j]: 1}
@@ -205,7 +200,7 @@ def semigroup_mul(S):
 
 def category_mul(C):
     """Structure constants of the category algebra (zero on non-composable pairs)."""
-    t, cod, dom = C.table, C.cod, C.dom
+    t, cod, dom = C.table.tolist(), C.cod.tolist(), C.dom.tolist()
 
     def mul(i, j):
         if cod[i] != dom[j]:
@@ -270,32 +265,30 @@ def radical_span(ES, C) -> RadicalReport:
     ei, witness = is_ei(ES, C)
     if not ei:
         raise NotEIError(witness)
-    invertible = set(invertible_morphisms(ES, C))
-    noninv = tuple(a for a in range(C.n) if a not in invertible)
+    n, t, dom, cod = C.n, C.table, C.dom, C.cod
+    invertible = np.zeros(n, dtype=bool)
+    invertible[list(invertible_morphisms(ES, C))] = True
+    x = np.flatnonzero(~invertible)
+    noninv = tuple(x.tolist())
 
+    # [i, m, 0]: m x_i composes into an invertible, [i, m, 1]: x_i m does
+    into = np.stack([(cod == dom[x, None]) & invertible[t[:, x].T],
+                     (cod[x, None] == dom) & invertible[t[x, :]]], axis=2)
+    found = first_witness(into, ("x", "m", "side"), x=x)
     ideal_witness = None
-    for x in noninv:
-        for m in range(C.n):
-            if C.composable(m, x) and C.table[m][x] in invertible:
-                ideal_witness = (m, x)
-                break
-            if C.composable(x, m) and C.table[x][m] in invertible:
-                ideal_witness = (x, m)
-                break
-        if ideal_witness:
-            break
+    if found:
+        ideal_witness = (found["m"], found["x"]) if found["side"] == 0 else (found["x"], found["m"])
 
-    power = set(noninv)
+    # the span of power is the k-th power of the ideal: products x y, x in power, y non-invertible
+    composable_into = (cod[:, None] == dom) & ~invertible
+    power = ~invertible
     index = 1
-    while power:
-        power = {
-            C.table[x][y]
-            for x in power
-            for y in noninv
-            if C.composable(x, y)
-        }
+    while power.any():
+        products = t[power[:, None] & composable_into]
+        power = np.zeros(n, dtype=bool)
+        power[products] = True
         index += 1
-        if index > C.n + 1:
+        if index > n + 1:
             raise InconsistentComputationError("radical nilpotency", {"stalled_at": index})
 
     oracle_dim, _ = radical_oracle(C.n, category_mul(C))
@@ -370,11 +363,7 @@ def semisimple_image_check(ES, C, order="r", allow_outside_theorem=False) -> Sem
     rad_dim, rad_basis = radical_oracle(n, semigroup_mul(ES.S))
     dims_match = rad_dim == n - len(reg.elements)
 
-    rows = [list(v) for v in rad_basis]
-    for a in reg.elements:
-        row = [0] * n
-        row[a] = 1
-        rows.append(row)
+    rows = [list(v) for v in rad_basis] + np.eye(n, dtype=np.int64)[list(reg.elements)].tolist()
     projection_full_rank = rank(rows) == rad_dim + len(reg.elements)
 
     invertible = invertible_morphisms(ES, C)

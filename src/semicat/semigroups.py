@@ -1,7 +1,8 @@
 """Finite semigroups as dense multiplication tables over indices 0..n-1.
 
 All structures are immutable after construction and all operations are pure,
-so values can be shared freely between threads.
+so values can be shared freely between threads.  Tables, maps and orders are
+stored as read-only numpy arrays (int64 indices, bool relations).
 """
 
 from dataclasses import dataclass
@@ -12,14 +13,39 @@ from .errors import NotAssociativeError, NotClosedError, OutOfRangeError
 from .reports import first_witness
 
 
-@dataclass(frozen=True)
+def freeze_fields(obj, **dtypes):
+    """Store each named field of a frozen dataclass as a read-only array of its dtype.
+
+    A read-only array of that dtype is kept; anything else (tuples, lists, a
+    writeable array) is copied, so no caller can change the stored values.
+    """
+    for name, dtype in dtypes.items():
+        value = getattr(obj, name)
+        if not (isinstance(value, np.ndarray) and value.dtype == dtype and not value.flags.writeable):
+            value = np.array(value, dtype=dtype)
+            value.flags.writeable = False
+        object.__setattr__(obj, name, value)
+
+
+def kept(obj, key, compute, *args):
+    """compute(obj, *args), computed once per object and kept in its instance dictionary."""
+    cache = vars(obj)
+    if key not in cache:
+        cache[key] = compute(obj, *args)
+    return cache[key]
+
+
+@dataclass(frozen=True, eq=False)
 class FiniteSemigroup:
     n: int
-    table: tuple  # table[i][j] = index of i*j
+    table: np.ndarray  # table[i, j] = index of i*j
     names: tuple | None = None
 
+    def __post_init__(self):
+        freeze_fields(self, table=np.int64)
+
     def mul(self, a, b):
-        return self.table[a][b]
+        return int(self.table[a, b])
 
     def name(self, a):
         return self.names[a] if self.names is not None else str(a)
@@ -31,24 +57,30 @@ class FiniteSemigroup:
 def validate(table, names=None) -> FiniteSemigroup:
     """Check a square index table for range and associativity.
 
-    Raises ValueError (empty table, a row of the wrong length, a non-integer
-    entry) or OutOfRangeError for the first bad row or entry in row-major
-    order, then NotAssociativeError with the lexicographically first failing
-    triple; otherwise returns the validated semigroup.
+    `table` is a list of rows or a square integer array.  Raises ValueError
+    (empty table, a row of the wrong length, a non-integer entry) or
+    OutOfRangeError for the first bad row or entry in row-major order, then
+    NotAssociativeError with the lexicographically first failing triple;
+    otherwise returns the validated semigroup, which keeps the result of its
+    associativity sweep (see associativity_failure).
     """
     n = len(table)
     if n == 0:
         raise ValueError("empty table")
-    rows = []
-    for row in table:
-        if len(row) != n or not all(map(_is_index_type, set(map(type, row)))):
-            break
-        rows.append(row)
-    m = len(rows)
-    try:
-        t = np.array(rows, dtype=np.int64).reshape(m, n)
-    except OverflowError:  # a Python int beyond int64, so out of range below
-        t = np.array(rows, dtype=object).reshape(m, n)
+    if isinstance(table, np.ndarray) and table.dtype.kind in "iu" and table.shape == (n, n):
+        rows, m = table, n
+        t = table.astype(np.int64)
+    else:
+        rows = []
+        for row in table:
+            if len(row) != n or not all(map(_is_index_type, set(map(type, row)))):
+                break
+            rows.append(row)
+        m = len(rows)
+        try:
+            t = np.array(rows, dtype=np.int64).reshape(m, n)
+        except OverflowError:  # a Python int beyond int64, so out of range below
+            t = np.array(rows, dtype=object).reshape(m, n)
     out = first_witness((t < 0) | (t >= n), ("i", "j"))
     if out:
         i, j = out["i"], out["j"]
@@ -62,8 +94,18 @@ def validate(table, names=None) -> FiniteSemigroup:
         names = tuple(str(x) for x in names)
         if len(names) != n:
             raise ValueError("names length does not match table size")
-    # int() returns a Python int entry itself, so the table shares the caller's ints
-    return FiniteSemigroup(n, tuple(tuple(map(int, row)) for row in rows), names)
+    t.flags.writeable = False  # t is a fresh copy, so the semigroup can keep it as it is
+    S = FiniteSemigroup(n, t, names)
+    vars(S)["_associativity_failure"] = None
+    return S
+
+
+def associativity_failure(S):
+    """associativity_witness of S's table, swept once per semigroup.
+
+    validate keeps its own sweep's result, so a validated table is never swept twice.
+    """
+    return kept(S, "_associativity_failure", lambda S: associativity_witness(S.table))
 
 
 def associativity_witness(t):
@@ -100,27 +142,36 @@ def _raise_row_error(row, i, n):
 
 def idempotents(S) -> frozenset:
     """Indices e with e*e = e."""
-    return frozenset(e for e in range(S.n) if S.table[e][e] == e)
+    return frozenset(np.flatnonzero(S.table.diagonal() == np.arange(S.n)).tolist())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GreenData:
-    r_class: tuple  # element -> class id, ids assigned by first occurrence
-    l_class: tuple
-    h_class: tuple
-    d_class: tuple
+    r_class: np.ndarray  # element -> class id, ids assigned by first occurrence
+    l_class: np.ndarray
+    h_class: np.ndarray
+    d_class: np.ndarray
+
+    def __post_init__(self):
+        freeze_fields(self, r_class=np.int64, l_class=np.int64, h_class=np.int64,
+                      d_class=np.int64)
 
     def classes(self, which):
-        labels = getattr(self, which + "_class")
-        out = {}
-        for x, c in enumerate(labels):
-            out.setdefault(c, []).append(x)
-        return [tuple(out[c]) for c in sorted(out)]
+        return class_members(getattr(self, which + "_class"))
 
 
-def _partition_ids(keys):
-    ids = {}
-    return tuple(ids.setdefault(k, len(ids)) for k in keys)
+def class_ids(keys):
+    """One id per row of a 2-D array: equal rows share an id, numbered by first occurrence."""
+    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(len(first))
+    return rank[inverse.reshape(-1)]
+
+
+def class_members(ids):
+    """The members of each class, ascending, as a list of tuples in class id order."""
+    order = np.argsort(ids, kind="stable")
+    return [tuple(c.tolist()) for c in np.split(order, np.cumsum(np.bincount(ids))[:-1])]
 
 
 def green(S) -> GreenData:
@@ -131,43 +182,24 @@ def green(S) -> GreenData:
     is kept in the semigroup's instance dictionary, so later calls for the
     same semigroup read the same copy.
     """
-    cache = vars(S)
-    if "_green" not in cache:
-        cache["_green"] = _green(S)
-    return cache["_green"]
+    return kept(S, "_green", _green)
 
 
 def _green(S) -> GreenData:
     n, t = S.n, S.table
-    rn = range(n)
-    right_ideals = [frozenset([a]).union(t[a][x] for x in rn) for a in rn]
-    left_ideals = [frozenset([a]).union(t[x][a] for x in rn) for a in rn]
-    r = _partition_ids(right_ideals)
-    l = _partition_ids(left_ideals)
-    h = _partition_ids(list(zip(r, l)))
-
-    parent = list(rn)
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
-    seen_r, seen_l = {}, {}
-    for x in rn:
-        if r[x] in seen_r:
-            union(seen_r[r[x]], x)
-        seen_r[r[x]] = x
-        if l[x] in seen_l:
-            union(seen_l[l[x]], x)
-        seen_l[l[x]] = x
-    d = _partition_ids([find(x) for x in rn])
+    rows = np.arange(n)[:, None]
+    ideals = []
+    for products in (t, t.T):           # member[a, b]: b in aS^1, then b in S^1 a
+        member = np.eye(n, dtype=bool)
+        member[rows, products] = True
+        ideals.append(class_ids(np.packbits(member, axis=1)))
+    r, l = ideals
+    h = class_ids(np.stack([r, l], axis=1))
+    # an R-class meets exactly the L-classes of its D-class (D = R o L), so the
+    # R-classes of one D-class are the equal rows of the R x L incidence matrix
+    incidence = np.zeros((r.max() + 1, l.max() + 1), dtype=bool)
+    incidence[r, l] = True
+    d = class_ids(np.packbits(incidence, axis=1))[r]
     return GreenData(r, l, h, d)
 
 
@@ -182,8 +214,7 @@ def subsemilattice_violation(S, E):
     for e in E:
         if not 0 <= e < S.n:
             return ("out of range", (e,))
-    t = S.table
-    products = np.array([[t[e][f] for f in E] for e in E], dtype=np.int64).reshape(len(E), len(E))
+    products = S.table[np.ix_(E, E)]
     closed = np.isin(products, E)
     for i, e in enumerate(E):
         if products[i, i] != e:
@@ -197,23 +228,17 @@ def subsemilattice_violation(S, E):
 
 def opposite(S) -> FiniteSemigroup:
     """Same elements, reversed multiplication."""
-    n = S.n
-    table = tuple(tuple(S.table[j][i] for j in range(n)) for i in range(n))
-    return FiniteSemigroup(n, table, S.names)
+    return FiniteSemigroup(S.n, S.table.T, S.names)
 
 
 def product(S, T) -> FiniteSemigroup:
     """Direct product; element (i, j) gets index i*|T| + j."""
-    nt = T.n
-    table = []
-    for i in range(S.n):
-        for j in range(nt):
-            table.append(tuple(S.table[i][k] * nt + T.table[j][m]
-                               for k in range(S.n) for m in range(nt)))
+    n = S.n * T.n
+    table = S.table[:, None, :, None] * T.n + T.table[None, :, None, :]  # [i, j, k, m]
     names = None
     if S.names is not None and T.names is not None:
         names = tuple(f"({a},{b})" for a in S.names for b in T.names)
-    return FiniteSemigroup(S.n * T.n, tuple(table), names)
+    return FiniteSemigroup(n, table.reshape(n, n), names)
 
 
 def subsemigroup(S, elements) -> FiniteSemigroup:
@@ -222,46 +247,38 @@ def subsemigroup(S, elements) -> FiniteSemigroup:
     Element order follows the order given in `elements`.
     """
     elements = list(elements)
-    index = {x: i for i, x in enumerate(elements)}
-    if len(index) != len(elements):
+    if len(set(elements)) != len(elements):
         raise ValueError("duplicate elements")
-    for a in elements:
-        for b in elements:
-            if S.table[a][b] not in index:
-                raise NotClosedError("product", (a, b))
-    table = tuple(tuple(index[S.table[a][b]] for b in elements) for a in elements)
+    if not all(0 <= a < S.n for a in elements):
+        raise ValueError("elements out of range")
+    index = np.full(S.n, -1, dtype=np.int64)
+    index[elements] = np.arange(len(elements))
+    table = index[S.table[np.ix_(elements, elements)]]
+    outside = first_witness(table < 0, ("a", "b"), a=elements, b=elements)
+    if outside:
+        raise NotClosedError("product", (outside["a"], outside["b"]))
     names = tuple(S.name(a) for a in elements) if S.names is not None else None
     return FiniteSemigroup(len(elements), table, names)
 
 
 def identity_of(S):
     """Index of the two-sided identity, or None. Identities are discovered, never declared."""
-    rn = range(S.n)
-    for e in rn:
-        if all(S.table[e][x] == x == S.table[x][e] for x in rn):
-            return e
-    return None
+    arange = np.arange(S.n)
+    found = first_witness((S.table == arange).all(axis=1) & (S.table.T == arange).all(axis=1),
+                          ("e",))
+    return None if found is None else found["e"]
 
 
 def is_inverse(S) -> bool:
     """True iff every element has exactly one inverse b with aba=a and bab=b."""
-    t = S.table
-    rn = range(S.n)
-    for a in rn:
-        count = 0
-        for b in rn:
-            if t[t[a][b]][a] == a and t[t[b][a]][b] == b:
-                count += 1
-                if count > 1:
-                    return False
-        if count != 1:
-            return False
-    return True
+    t, a = S.table, np.arange(S.n)[:, None]
+    aba = t[t, a] == a  # aba[a, b]: (ab)a = a, so aba.T[a, b]: (ba)b = b
+    return bool(((aba & aba.T).sum(axis=1) == 1).all())
 
 
 def to_interchange(S, E=None) -> dict:
     """Shared JSON interchange object: {"n", "table", "E"?, "names"?}."""
-    obj = {"n": S.n, "table": [list(row) for row in S.table]}
+    obj = {"n": S.n, "table": S.table.tolist()}
     if E is not None:
         obj["E"] = sorted(int(e) for e in E)
     if S.names is not None:
@@ -274,7 +291,12 @@ def from_interchange(obj):
     if not isinstance(obj, dict) or "table" not in obj:
         raise ValueError("interchange object must be a dict with a 'table' field")
     table = obj["table"]
-    if "n" in obj and obj["n"] != len(table):
+    if not (isinstance(table, list) and all(isinstance(row, list) for row in table)):
+        raise ValueError("table must be a list of lists")
+    n = obj.get("n", len(table))
+    if not _is_index_type(type(n)):
+        raise ValueError("n must be an integer")
+    if n != len(table):
         raise ValueError("declared n does not match table size")
     names, E = obj.get("names"), obj.get("E")
     if names is not None and not isinstance(names, list):

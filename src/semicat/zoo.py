@@ -73,7 +73,7 @@ def _partial_identities(vectors, n):
 
 def _maps_semigroup(vectors, n):
     table = _compose_vectors(vectors, n)
-    return validate(table.tolist(), [_pt_name(v, n) for v in vectors.tolist()])
+    return validate(table, [_pt_name(v, n) for v in vectors.tolist()])
 
 
 def pt_n(n) -> EhresmannStructure:
@@ -111,28 +111,14 @@ def b_n(n) -> EhresmannStructure:
     if not 1 <= n <= B_MAX:
         raise ValueError(f"b_n supports 1 <= n <= {B_MAX}")
     size = 1 << (n * n)
-    rows = [
-        [(mask >> (i * n)) & ((1 << n) - 1) for i in range(n)]
-        for mask in range(size)
-    ]
-    table = []
-    for r in rows:
-        row = []
-        for q_mask in range(size):
-            qrows = rows[q_mask]
-            out = 0
-            for i in range(n):
-                acc = 0
-                bits = r[i]
-                j = 0
-                while bits:
-                    if bits & 1:
-                        acc |= qrows[j]
-                    bits >>= 1
-                    j += 1
-                out |= acc << (i * n)
-            row.append(out)
-        table.append(row)
+    bit = np.arange(n * n).reshape(n, n)                 # bit[i, j] stands for the pair (i, j)
+    rel = (np.arange(size)[:, None, None] >> bit) & 1    # rel[mask, i, j]: (i, j) in the relation
+    second = rel.transpose(1, 0, 2).reshape(n, size * n)  # second[j, (q, k)] = rel[q, j, k]
+    table = np.zeros((size, size), dtype=np.int64)
+    for i in range(n):
+        # (R*Q)(i, k) iff (i, j) in R and (j, k) in Q for some j
+        reached = (rel[:, i, :] @ second).reshape(size, size, n) > 0
+        table += reached @ (1 << bit[i])
     names = tuple(_relation_name(m, n) for m in range(size))
     S = validate(table, names)
     identities = [sum(1 << (i * n + i) for i in A) for A in _subsets(range(n))]
@@ -157,8 +143,7 @@ def strong_semilattice(Y, monoids, maps) -> EhresmannStructure:
     pushes both factors down to the meet component.
     """
     ny = Y.n
-    if any(Y.table[a][a] != a or Y.table[a][b] != Y.table[b][a]
-           for a in range(ny) for b in range(ny)):
+    if (Y.table != Y.table.T).any() or (Y.table.diagonal() != np.arange(ny)).any():
         raise ValueError("Y is not a semilattice")
     if len(monoids) != ny:
         raise ValueError("need one monoid per element of Y")
@@ -184,10 +169,10 @@ def strong_semilattice(Y, monoids, maps) -> EhresmannStructure:
             raise IncompatibleMapsError("map has wrong shape", (a, b))
         if m[units[a]] != units[b]:
             raise IncompatibleMapsError("map does not preserve the identity", (a, b))
-        for x in range(monoids[a].n):
-            for y in range(monoids[a].n):
-                if m[monoids[a].table[x][y]] != monoids[b].table[m[x]][m[y]]:
-                    raise IncompatibleMapsError("map is not a homomorphism", (a, b, x, y))
+        image = monoids[b].table[np.ix_(m, m)]  # image[x, y] = m(x) m(y)
+        bad = first_witness(np.take(m, monoids[a].table) != image, ("x", "y"))
+        if bad:
+            raise IncompatibleMapsError("map is not a homomorphism", (a, b, bad["x"], bad["y"]))
     for a in range(ny):
         for b in range(ny):
             for c in range(ny):
@@ -197,23 +182,14 @@ def strong_semilattice(Y, monoids, maps) -> EhresmannStructure:
                         if mbc[mab[x]] != mac[x]:
                             raise IncompatibleMapsError("maps do not compose", (a, b, c))
 
-    offsets = []
-    total = 0
-    for M in monoids:
-        offsets.append(total)
-        total += M.n
-    table = [[0] * total for _ in range(total)]
-    names = []
+    offsets = np.cumsum([0] + [M.n for M in monoids]).tolist()
+    table = np.zeros((offsets[-1], offsets[-1]), dtype=np.int64)
     for a in range(ny):
-        for x in range(monoids[a].n):
-            names.append(f"({a},{monoids[a].name(x)})")
-            for b in range(ny):
-                mab = connecting(a, Y.table[a][b])
-                for y in range(monoids[b].n):
-                    c = Y.table[a][b]
-                    mbc = connecting(b, c)
-                    val = monoids[c].table[mab[x]][mbc[y]]
-                    table[offsets[a] + x][offsets[b] + y] = offsets[c] + val
+        for b in range(ny):
+            c = Y.mul(a, b)
+            block = monoids[c].table[np.ix_(connecting(a, c), connecting(b, c))]
+            table[offsets[a]:offsets[a + 1], offsets[b]:offsets[b + 1]] = offsets[c] + block
+    names = [f"({a},{M.name(x)})" for a, M in enumerate(monoids) for x in range(M.n)]
     S = validate(table, names)
     return derive_structure(S, [offsets[a] + units[a] for a in range(ny)])
 

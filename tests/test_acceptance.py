@@ -8,6 +8,8 @@ import random
 import time
 from fractions import Fraction
 
+import numpy as np
+
 from semicat import (
     basis_element,
     build_category,
@@ -121,7 +123,7 @@ def test_criterion_5_roundtrip_reproduces_tables(zoo_members):
     ok = True
     for name, es in zoo_members.items():
         rebuilt = rebuild_semigroup(build_category(es))
-        ok = ok and rebuilt.S.table == es.S.table
+        ok = ok and np.array_equal(rebuilt.S.table, es.S.table)
     report(5, ok, f"S(C(S)) identical table for all {len(zoo_members)} members")
 
 

@@ -4,11 +4,13 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from semicat import reptheory, semigroups, to_interchange
+from semicat import categories, reptheory, semigroups, to_interchange
 from semicat import zoo
 from semicat.cli import main
+from semicat.reports import jsonable
 
 
 def run(capsys, *argv):
@@ -64,6 +66,21 @@ def test_check_malformed_e_or_names_is_input_error(tmp_path, capsys, field, valu
     code, _, err = run(capsys, "check", "--input", str(path))
     assert code == 2
     assert field in err
+
+
+@pytest.mark.parametrize("obj", [
+    {"table": [1, 2], "E": [0]},
+    {"table": 5, "E": [0]},
+    {"table": [None], "E": [0]},
+    {"n": True, "table": [[0]], "E": [0]},
+    {"n": 1.0, "table": [[0]], "E": [0]},
+])
+def test_check_malformed_table_or_n_is_input_error(tmp_path, capsys, obj):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    code, _, err = run(capsys, "check", "--input", str(path))
+    assert code == 2
+    assert "table must be a list of lists" in err or "n must be an integer" in err
 
 
 def test_check_without_e_lists_maximal_subsemilattices(tmp_path, capsys):
@@ -246,3 +263,38 @@ def test_python_dash_m_runs_the_cli():
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert "PASS  category-axioms" in done.stdout
+
+
+def test_check_sweeps_associativity_once(monkeypatch, capsys):
+    # validate proves the table associative; variety identity 11 reads that result
+    calls = []
+    original = semigroups.associativity_witness
+    monkeypatch.setattr(semigroups, "associativity_witness",
+                        lambda t: calls.append(len(t)) or original(t))
+    code, _, _ = run(capsys, "check", "--zoo", "op:4")
+    assert code == 0
+    assert calls == [192]
+
+
+def test_rep_builds_the_category_and_ei_report_once(monkeypatch, capsys):
+    calls = []
+    ei, post_init = reptheory._ei_report, categories.EhresmannCategory.__post_init__
+    monkeypatch.setattr(reptheory, "_ei_report", lambda ES, C: calls.append("ei") or ei(ES, C))
+    monkeypatch.setattr(categories.EhresmannCategory, "__post_init__",
+                        lambda C: calls.append("category") or post_init(C))
+    code, _, _ = run(capsys, "rep", "--zoo", "op:3")
+    assert code == 0
+    assert sorted(calls) == ["category", "ei"]
+
+
+def test_reports_hold_numpy_scalars_as_python_values():
+    got = jsonable({"a": np.int64(5), "b": [np.bool_(True), np.uint8(3)], np.int64(2): None})
+    assert got == {"a": 5, "b": [True, 3], "2": None}
+    assert [type(v) for v in (got["a"], *got["b"])] == [int, bool, int]
+    assert json.dumps(got) == '{"a": 5, "b": [true, 3], "2": null}'
+
+
+@pytest.mark.parametrize("value", [object(), np.array([1, 2]), 1j, b"5"])
+def test_reports_refuse_values_of_unknown_type(value):
+    with pytest.raises(TypeError):
+        jsonable({"witness": [value]})

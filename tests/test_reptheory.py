@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,8 +17,18 @@ from semicat import (
     validate,
 )
 from semicat import zoo
-from semicat.errors import NotEIError, PreconditionNotMetError
-from semicat.reptheory import category_mul, semigroup_mul
+from semicat.ehresmann import EhresmannStructure
+from semicat.errors import (
+    InconsistentComputationError,
+    NotClosedError,
+    NotEIError,
+    PreconditionNotMetError,
+    SemicatError,
+)
+from semicat.reptheory import EIReport, RadicalReport, RegESet, category_mul, semigroup_mul
+from semicat.semigroups import FiniteSemigroup
+from test_ehresmann import reference_tilde_relations
+from test_semigroups import reference_green
 
 
 def brute_force_invertibles(es, C):
@@ -297,3 +308,221 @@ def test_semisimple_image_gated_outside_theorem(six, b2):
     assert semi.radical_dim_s == 3 and semi.reg_size == 3
     with pytest.raises(PreconditionNotMetError):
         semisimple_image_check(b2, build_category(b2))
+
+
+# --- Reg_E, EI and the radical span against the per-element loops ------------------
+
+
+def reference_invertible_morphisms(es):
+    """Green's characterization and the brute-force inverse search, compared."""
+    r, l = reference_green(es.S)[:2]
+    n, t, plus, star = es.n, es.S.table.tolist(), es.plus.tolist(), es.star.tolist()
+    by_green = tuple(a for a in range(n) if r[a] == r[plus[a]] and l[a] == l[star[a]])
+    brute = tuple(
+        a for a in range(n)
+        if any(
+            plus[b] == star[a] and star[b] == plus[a] and t[a][b] == plus[a] and t[b][a] == star[a]
+            for b in range(n)
+        )
+    )
+    if by_green != brute:
+        raise InconsistentComputationError(
+            "invertible morphisms", {"green": by_green, "brute": brute}
+        )
+    return by_green
+
+
+def reference_reg_e(es):
+    elems = reference_invertible_morphisms(es)
+    eset = set(elems)
+    t, plus, star = es.S.table.tolist(), es.plus.tolist(), es.star.tolist()
+    leq_r, leq_l = es.leq_r.tolist(), es.leq_l.tolist()
+    for a in elems:
+        for b in elems:
+            if t[a][b] not in eset:
+                raise NotClosedError("reg_e product", (a, b))
+
+    subset_idempotents = {a for a in elems if t[a][a] == a}
+    if subset_idempotents != set(es.E):
+        raise InconsistentComputationError(
+            "reg_e idempotents", {"found": sorted(subset_idempotents), "E": es.E}
+        )
+
+    inverse_map = {}
+    for a in elems:
+        invs = [b for b in elems if t[t[a][b]][a] == a and t[t[b][a]][b] == b]
+        if len(invs) != 1:
+            raise InconsistentComputationError("reg_e unique inverse", {"a": a, "invs": invs})
+        b = invs[0]
+        if t[a][b] != plus[a] or t[b][a] != star[a]:
+            raise InconsistentComputationError("reg_e inverse laws", {"a": a, "b": b})
+        inverse_map[a] = b
+
+    for a in elems:
+        for b in range(es.n):
+            if (leq_r[b][a] or leq_l[b][a]) and b not in eset:
+                raise InconsistentComputationError("reg_e down ideal", {"a": a, "b": b})
+    return RegESet(elems, inverse_map)
+
+
+def reference_ei_report(es):
+    h, d = reference_green(es.S)[2:]
+    tilde_h_index = reference_tilde_relations(es.S, es.E)[5]
+    n, t, plus, star = es.n, es.S.table.tolist(), es.plus.tolist(), es.star.tolist()
+
+    witness = None
+    for e in es.E:
+        tilde_h = {a for a in range(n) if tilde_h_index[a] == tilde_h_index[e]}
+        green_h = {a for a in range(n) if h[a] == h[e]}
+        endo = {a for a in range(n) if plus[a] == e and star[a] == e}
+        if tilde_h != endo:
+            raise InconsistentComputationError("tilde-H vs endomorphisms", {"e": e})
+        group = all(
+            any(t[a][b] == e and t[b][a] == e for b in endo) for a in endo
+        )
+        if (tilde_h == green_h) != group:
+            raise InconsistentComputationError("EI criterion", {"e": e})
+        if not group and witness is None:
+            bad = sorted(tilde_h - green_h)[0]
+            witness = {"object": e, "endomorphism": bad}
+
+    e_all = {e for e in range(n) if t[e][e] == e}
+    eset = set(es.E)
+    maximal_witness = None
+    for f in sorted(e_all - eset):
+        if all(t[e][f] == t[f][e] for e in es.E):
+            maximal_witness = f
+            break
+
+    groups = {}
+    for e in es.E:
+        groups.setdefault(d[e], []).append(e)
+    iso_classes = tuple(tuple(v) for v in groups.values())
+
+    endo_counts = {
+        e: sum(1 for a in range(n) if plus[a] == e and star[a] == e)
+        for e in es.E
+    }
+    return EIReport(
+        is_ei=witness is None,
+        witness=witness,
+        endomorphism_counts=endo_counts,
+        e_is_maximal_semilattice=maximal_witness is None,
+        maximal_witness=maximal_witness,
+        object_iso_classes=iso_classes,
+        is_groupoid=len(reference_invertible_morphisms(es)) == n,
+    )
+
+
+def reference_radical_span(es, C):
+    rep = reference_ei_report(es)
+    if not rep.is_ei:
+        raise NotEIError(rep.witness)
+    invertible = set(reference_invertible_morphisms(es))
+    t, dom, cod = C.table.tolist(), C.dom.tolist(), C.cod.tolist()
+    noninv = tuple(a for a in range(C.n) if a not in invertible)
+
+    ideal_witness = None
+    for x in noninv:
+        for m in range(C.n):
+            if cod[m] == dom[x] and t[m][x] in invertible:
+                ideal_witness = (m, x)
+                break
+            if cod[x] == dom[m] and t[x][m] in invertible:
+                ideal_witness = (x, m)
+                break
+        if ideal_witness:
+            break
+
+    power = set(noninv)
+    index = 1
+    while power:
+        power = {t[x][y] for x in power for y in noninv if cod[x] == dom[y]}
+        index += 1
+        if index > C.n + 1:
+            raise InconsistentComputationError("radical nilpotency", {"stalled_at": index})
+
+    oracle_dim, _ = radical_oracle(C.n, category_mul(C))
+    return RadicalReport(
+        noninvertible=noninv,
+        claimed_dim=len(noninv),
+        oracle_dim=oracle_dim,
+        agrees=len(noninv) == oracle_dim,
+        ideal_witness=ideal_witness,
+        nilpotency_index=index,
+    )
+
+
+def structure_mutants(zoo_members, seed, count):
+    """Structures built directly from a zoo member with one field changed.
+
+    Trials cycle through a table with two element labels swapped, a changed
+    + or * entry, a flipped order bit, and no change at all.  The swapped
+    table is still a semigroup (an isomorphic copy that no longer fits the
+    stored maps and orders): Green's D is R o L only on semigroups.
+    """
+    rng = random.Random(seed)
+    members = list(zoo_members.values())
+    for trial in range(count):
+        es = members[trial % len(members)]
+        n = es.n
+        table, maps = es.S.table.tolist(), [es.plus.tolist(), es.star.tolist()]
+        orders = [es.leq_r.tolist(), es.leq_l.tolist()]
+        kind = trial // len(members) % 4
+        x, y = rng.randrange(n), rng.randrange(n)
+        if kind == 0:
+            swap = list(range(n))
+            swap[x], swap[y] = y, x
+            table = [[swap[table[swap[i]][swap[j]]] for j in range(n)] for i in range(n)]
+        elif kind == 1:
+            rng.choice(maps)[x] = rng.choice(es.E)
+        elif kind == 2:
+            order = rng.choice(orders)
+            order[x][y] = not order[x][y]
+        yield EhresmannStructure(FiniteSemigroup(n, table, es.S.names), es.E, *maps, *orders)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except SemicatError as err:
+        return type(err), str(err)
+
+
+def kind_of(got):
+    if isinstance(got, tuple) and got and isinstance(got[0], type):
+        return got[1].split(":")[0] if got[0] is InconsistentComputationError else got[0].__name__
+    return "ok"
+
+
+def test_reg_e_and_ei_report_match_the_loops(zoo_members):
+    members = {**zoo_members, "t:3": zoo.parse_zoo_spec("t:3"), "op:4": zoo.parse_zoo_spec("op:4")}
+    kinds = set()
+    for es in list(members.values()) + list(structure_mutants(zoo_members, 41, 360)):
+        C = build_category(es)
+        for fn, reference in ((invertible_morphisms, reference_invertible_morphisms),
+                              (reg_e, reference_reg_e), (ei_report, reference_ei_report)):
+            got = outcome(fn, es) if fn is reg_e else outcome(fn, es, C)
+            assert got == outcome(reference, es), fn.__name__
+            kinds.add((fn.__name__, kind_of(got)))
+    assert {kind for name, kind in kinds if name == "reg_e"} >= {
+        "ok", "NotClosedError", "internal cross-check failed for invertible morphisms",
+        "internal cross-check failed for reg_e idempotents",
+        "internal cross-check failed for reg_e unique inverse",
+        "internal cross-check failed for reg_e down ideal",
+    }
+    assert {kind for name, kind in kinds if name == "ei_report"} >= {
+        "ok", "internal cross-check failed for tilde-H vs endomorphisms",
+        "internal cross-check failed for EI criterion",
+    }
+
+
+def test_radical_span_matches_the_loops(zoo_members):
+    kinds = set()
+    for es in list(zoo_members.values()) + list(structure_mutants(zoo_members, 42, 72)):
+        C = build_category(es)
+        got = outcome(radical_span, es, C)
+        assert got == outcome(reference_radical_span, es, C)
+        kinds.add(kind_of(got) if kind_of(got) != "ok" else ("ok", got.ideal_witness is None))
+    assert kinds >= {("ok", True), ("ok", False), "NotEIError",
+                     "internal cross-check failed for radical nilpotency"}

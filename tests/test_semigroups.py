@@ -169,7 +169,8 @@ def test_is_subsemilattice_b2_partial_identities(b2):
 
 
 def test_opposite_is_involution(pt2):
-    assert opposite(opposite(pt2.S)) == pt2.S
+    twice = opposite(opposite(pt2.S))
+    assert np.array_equal(twice.table, pt2.S.table) and twice.names == pt2.S.names
 
 
 def test_product_size():
@@ -187,6 +188,13 @@ def test_t2_times_t2op_six_pairs_closed():
     assert sub.n == 6
 
 
+@pytest.mark.parametrize("elements", [[-1], [0, 9], [3, -9]])
+def test_subsemigroup_rejects_elements_out_of_range(pt2, elements):
+    # a negative index would otherwise wrap around to the last rows of the table
+    with pytest.raises(ValueError, match="out of range"):
+        subsemigroup(pt2.S, elements)
+
+
 def test_subsemigroup_rejects_open_subset(pt2):
     # {swap} is not closed: swap*swap = id
     with pytest.raises(NotClosedError):
@@ -196,7 +204,7 @@ def test_subsemigroup_rejects_open_subset(pt2):
 def test_interchange_roundtrip(b2):
     obj = to_interchange(b2.S, b2.E)
     S, E = from_interchange(obj)
-    assert S == b2.S and E == b2.E
+    assert np.array_equal(S.table, b2.S.table) and S.names == b2.S.names and E == b2.E
 
 
 def test_interchange_rejects_bad_e(pt2):
@@ -280,7 +288,7 @@ def test_validate_mutants_fail_as_the_loop_does(data):
     expect = outcome(reference_validate, table, names)
     got = outcome(validate, table, names)
     if isinstance(got, FiniteSemigroup):
-        got = (got.table, got.names)
+        got = (tuple(map(tuple, got.table.tolist())), got.names)
         assert all(type(x) is int for row in got[0] for x in row)
     assert got == expect
 
@@ -288,3 +296,245 @@ def test_validate_mutants_fail_as_the_loop_does(data):
 def test_validate_rows_as_strings_fail_as_the_loop_does():
     for table in ("ab", "a", [[0, 0], "ab"], {"ab": 1, "cd": 2}):
         assert outcome(validate, table) == outcome(reference_validate, table)
+
+
+@pytest.mark.parametrize("obj", [
+    {"table": [1, 2]},
+    {"table": 5},
+    {"table": [None]},
+    {"table": "ab"},
+    {"table": [[0, 1], (1, 0)]},
+    {"n": True, "table": [[0]]},
+    {"n": 1.0, "table": [[0]]},
+    {"n": "1", "table": [[0]]},
+])
+def test_interchange_rejects_a_malformed_table_or_n(obj):
+    with pytest.raises(ValueError, match="table must be a list of lists|n must be an integer"):
+        from_interchange(obj)
+
+
+# --- the read-only array core ----------------------------------------------------
+
+
+def test_direct_construction_copies_into_a_read_only_array():
+    rows = np.array(Z2)
+    S = FiniteSemigroup(2, rows)
+    rows[0, 0] = 1
+    assert S.table.tolist() == Z2 and S.table.dtype == np.int64
+    for table in (tuple(map(tuple, Z2)), Z2, S.table):
+        T = FiniteSemigroup(2, table)
+        assert T.table.tolist() == Z2 and not T.table.flags.writeable
+    assert FiniteSemigroup(2, S.table).table is S.table  # a read-only int64 array is shared
+
+
+def semigroup_outcome(fn, *args):
+    got = outcome(fn, *args)
+    if isinstance(got, FiniteSemigroup):
+        return got.table.tolist(), got.names
+    return got
+
+
+@pytest.mark.parametrize("table", [
+    np.array(Z2), np.array(Z2, dtype=np.uint8), np.array([[0, 2], [1, 0]]),
+    np.array([[0, 1], [0, 0]]), np.array([[0, -1], [1, 0]]), np.zeros((2, 3), dtype=np.int64),
+    np.array([[0, 2**64 - 1], [1, 0]], dtype=np.uint64),
+])
+def test_validate_reads_an_integer_array_as_its_rows(table):
+    assert semigroup_outcome(validate, table) == semigroup_outcome(validate, list(table))
+
+
+def reference_partition_ids(keys):
+    ids = {}
+    return tuple(ids.setdefault(k, len(ids)) for k in keys)
+
+
+def reference_green(S):
+    """Green's labels from principal ideals, with D as the union-find join of R and L."""
+    n, t = S.n, S.table.tolist()
+    rn = range(n)
+    right_ideals = [frozenset([a]).union(t[a][x] for x in rn) for a in rn]
+    left_ideals = [frozenset([a]).union(t[x][a] for x in rn) for a in rn]
+    r = reference_partition_ids(right_ideals)
+    l = reference_partition_ids(left_ideals)
+    h = reference_partition_ids(list(zip(r, l)))
+
+    parent = list(rn)
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(x, y):
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[max(rx, ry)] = min(rx, ry)
+
+    seen_r, seen_l = {}, {}
+    for x in rn:
+        if r[x] in seen_r:
+            union(seen_r[r[x]], x)
+        seen_r[r[x]] = x
+        if l[x] in seen_l:
+            union(seen_l[l[x]], x)
+        seen_l[l[x]] = x
+    d = reference_partition_ids([find(x) for x in rn])
+    return r, l, h, d
+
+
+def green_labels(S):
+    g = green(S)
+    return tuple(tuple(labels.tolist()) for labels in (g.r_class, g.l_class, g.h_class, g.d_class))
+
+
+def reference_identity_of(S):
+    t, rn = S.table.tolist(), range(S.n)
+    for e in rn:
+        if all(t[e][x] == x == t[x][e] for x in rn):
+            return e
+    return None
+
+
+def reference_is_inverse(S):
+    t, rn = S.table.tolist(), range(S.n)
+    for a in rn:
+        count = 0
+        for b in rn:
+            if t[t[a][b]][a] == a and t[t[b][a]][b] == b:
+                count += 1
+                if count > 1:
+                    return False
+        if count != 1:
+            return False
+    return True
+
+
+def reference_opposite(S):
+    t = S.table.tolist()
+    return tuple(tuple(t[j][i] for j in range(S.n)) for i in range(S.n)), S.names
+
+
+def reference_product(S, T):
+    s, t, nt = S.table.tolist(), T.table.tolist(), T.n
+    table = []
+    for i in range(S.n):
+        for j in range(nt):
+            table.append(tuple(s[i][k] * nt + t[j][m] for k in range(S.n) for m in range(nt)))
+    names = None
+    if S.names is not None and T.names is not None:
+        names = tuple(f"({a},{b})" for a in S.names for b in T.names)
+    return tuple(table), names
+
+
+def reference_subsemigroup(S, elements):
+    t = S.table.tolist()
+    elements = list(elements)
+    index = {x: i for i, x in enumerate(elements)}
+    if len(index) != len(elements):
+        raise ValueError("duplicate elements")
+    for a in elements:
+        for b in elements:
+            if t[a][b] not in index:
+                raise NotClosedError("product", (a, b))
+    table = tuple(tuple(index[t[a][b]] for b in elements) for a in elements)
+    names = tuple(S.name(a) for a in elements) if S.names is not None else None
+    return table, names
+
+
+def as_tuples(S):
+    return tuple(map(tuple, S.table.tolist())), S.names
+
+
+def relabeled(S, rng):
+    perm = list(range(S.n))
+    rng.shuffle(perm)
+    inverse = sorted(range(S.n), key=perm.__getitem__)
+    t = S.table.tolist()
+    return validate([[perm[t[inverse[i]][inverse[j]]] for j in range(S.n)] for i in range(S.n)])
+
+
+def closure(S, generators):
+    """The elements of the subsemigroup generated by `generators`, ascending."""
+    t, elements = S.table.tolist(), set(generators)
+    frontier = elements
+    while frontier:
+        frontier = {t[a][b] for a in elements for b in elements} - elements
+        elements |= frontier
+    return sorted(elements)
+
+
+def semigroup_mutants(zoo_members, seed, count):
+    """Relabelings and generated subsemigroups (still semigroups), and tables
+    with one to three entries changed (usually not associative)."""
+    rng = random.Random(seed)
+    members = [es.S for es in zoo_members.values()]
+    associative, arbitrary = [], []
+    for trial in range(count):
+        S = members[trial % len(members)]
+        associative.append(relabeled(S, rng))
+        generators = rng.sample(range(S.n), rng.randint(1, min(3, S.n)))
+        associative.append(subsemigroup(S, closure(S, generators)))
+        table = S.table.tolist()
+        for _ in range(rng.randint(1, 3)):
+            table[rng.randrange(S.n)][rng.randrange(S.n)] = rng.randrange(S.n)
+        arbitrary.append(FiniteSemigroup(S.n, table, S.names))
+    return associative, arbitrary
+
+
+def test_green_matches_the_union_find(zoo_members):
+    associative, _ = semigroup_mutants(zoo_members, 31, 60)
+    semigroups = [es.S for es in zoo_members.values()] + associative
+    semigroups += [zoo.t_n(3), zoo.pt_n(3).S, zoo.parse_zoo_spec("op:4").S]
+    merged = 0
+    for S in semigroups:
+        labels = green_labels(S)
+        assert labels == reference_green(S)
+        assert green(S).classes("d") == [tuple(c) for c in _members(labels[3])]
+        merged += labels[3] != labels[0]
+    assert merged > 10  # D is coarser than R on many of them
+
+
+def _members(labels):
+    out = {}
+    for x, c in enumerate(labels):
+        out.setdefault(c, []).append(x)
+    return [out[c] for c in sorted(out)]
+
+
+def test_element_scans_match_the_loops(zoo_members):
+    associative, arbitrary = semigroup_mutants(zoo_members, 32, 60)
+    semigroups = [es.S for es in zoo_members.values()] + associative + arbitrary
+    found = set()
+    for S in semigroups:
+        assert identity_of(S) == reference_identity_of(S)
+        assert is_inverse(S) == reference_is_inverse(S)
+        assert as_tuples(opposite(S)) == reference_opposite(S)
+        found.add((identity_of(S) is not None, is_inverse(S)))
+    assert found == {(False, False), (True, False), (True, True), (False, True)}
+
+
+def subsemigroup_outcome(fn, S, elements):
+    try:
+        got = fn(S, elements)
+    except (ValueError, NotClosedError) as err:
+        return type(err), str(err)
+    return as_tuples(got) if isinstance(got, FiniteSemigroup) else got
+
+
+def test_products_and_subsemigroups_match_the_loops(zoo_members):
+    rng = random.Random(33)
+    associative, arbitrary = semigroup_mutants(zoo_members, 33, 30)
+    small = [S for S in [es.S for es in zoo_members.values()] + associative + arbitrary if S.n <= 9]
+    kinds = set()
+    for trial in range(120):
+        S, T = rng.choice(small), rng.choice(small)
+        assert as_tuples(product(S, T)) == reference_product(S, T)
+        elements = [rng.randrange(S.n) for _ in range(rng.randint(1, S.n))]
+        if trial % 3 == 0 and S in associative:
+            elements = closure(S, elements[:2])
+            rng.shuffle(elements)
+        got = subsemigroup_outcome(subsemigroup, S, elements)
+        assert got == subsemigroup_outcome(reference_subsemigroup, S, elements)
+        kinds.add(got[0] if isinstance(got[0], type) else "closed")
+    assert kinds == {"closed", ValueError, NotClosedError}
