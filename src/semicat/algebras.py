@@ -10,8 +10,10 @@ The two linear maps realized here, on basis elements and extended linearly:
     psi(x) = sum of mu(y, x) S(y) over y <= x
 
 with <= one of the two natural orders (the right order by default) and mu its
-Moebius function.  phi and psi are mutually inverse bijections for every
-Ehresmann structure; phi is multiplicative whenever the left-restriction
+Moebius function.  As matrices, phi is the order's zeta matrix Z (Z[b, a] is
+b <= a) and psi its integer Moebius matrix (posets.order_data); both maps read
+the nonzeros of a column.  phi and psi are mutually inverse bijections for
+every Ehresmann structure; phi is multiplicative whenever the left-restriction
 identity holds (dually for the left order), and verify_isomorphism separates
 the composable-pair half of the sweep from the rest so a failure certificate
 pins down exactly which half broke.
@@ -24,7 +26,8 @@ import numpy as np
 
 from .categories import build_category
 from .errors import BasisMismatchError
-from .posets import order_data
+from .linalg import exact_matmul
+from .posets import natural_order, order_data
 from .reports import jsonable
 
 SEMIGROUP = "semigroup"
@@ -135,10 +138,10 @@ def phi(ES, C, u, order="r") -> AlgebraElement:
     """Down-set sum into the category algebra, extended linearly."""
     if u.basis != SEMIGROUP:
         raise BasisMismatchError(SEMIGROUP, u.basis)
-    down = order_data(ES, order).down
+    leq = natural_order(ES, order)
     acc = {}
     for a, ca in u.coeffs.items():
-        for b in down[a]:
+        for b in np.flatnonzero(leq[:, a]).tolist():
             acc[b] = acc.get(b, 0) + ca
     return element(CATEGORY, acc)
 
@@ -147,11 +150,12 @@ def psi(ES, C, u, order="r") -> AlgebraElement:
     """Moebius-weighted down-set sum into the semigroup algebra."""
     if u.basis != CATEGORY:
         raise BasisMismatchError(CATEGORY, u.basis)
-    terms = order_data(ES, order).psi_terms
+    mu = order_data(ES, order)
     acc = {}
     for x, cx in u.coeffs.items():
-        for y, m in terms[x].items():
-            acc[y] = acc.get(y, 0) + cx * m
+        column = mu[:, x]
+        for y in np.flatnonzero(column).tolist():
+            acc[y] = acc.get(y, 0) + cx * int(column[y])
     return element(SEMIGROUP, acc)
 
 
@@ -193,11 +197,6 @@ class IsoReport:
             "passed": self.passed,
             "witness_expansion": jsonable(self.witness_expansion),
         }
-
-
-def _rational(coeffs):
-    """Integer coefficients as the Fractions that reports render."""
-    return {k: Fraction(v) for k, v in coeffs.items()}
 
 
 def _ranges(starts, lengths):
@@ -251,59 +250,52 @@ def _hom_sweep(t, cod, dom, leq):
     return case1, case2
 
 
+def _bijection_witness(leq, mu):
+    """The first a with psi(phi(a)) != S(a), with its coefficients, or None.
+
+    Column a of mu Z (Z = leq) holds the coefficients of psi(phi(a)).  Z and
+    mu are square, so mu Z = I also gives Z mu = I: phi(psi(x)) = C(x) for
+    every x, and that direction needs no product of its own.
+    """
+    product = exact_matmul(mu, leq)
+    bad = np.flatnonzero((product != np.eye(len(leq), dtype=np.int64)).any(axis=0))
+    if not bad.size:
+        return None
+    a = int(bad[0])
+    got = {y: Fraction(int(product[y, a])) for y in np.flatnonzero(product[:, a]).tolist()}
+    return {"direction": "psi(phi(a))", "a": a, "got": got}
+
+
 def verify_isomorphism(ES, order="r") -> IsoReport:
     """Check that phi and psi are mutually inverse and that phi is multiplicative.
 
-    Bijectivity is checked on every basis element; multiplicativity on every
-    basis pair, which suffices by bilinearity.  Pairs are split by whether the
-    corresponding morphisms compose (a* = b+); the first failing pair in
-    lexicographic order is expanded into a printable certificate.
+    Bijectivity is the exact matrix identity mu Z = I; multiplicativity is
+    checked on every basis pair, which suffices by bilinearity.  Pairs are
+    split by whether the corresponding morphisms compose (a* = b+); the first
+    failing pair in lexicographic order is expanded into a printable
+    certificate.
     """
-    if order not in ("r", "l"):
-        raise ValueError("order must be 'r' or 'l'")
+    leq = natural_order(ES, order)
     n = ES.n
     C = build_category(ES)
     table, cod, dom = ES.S.table, C.cod, C.dom
-    data = order_data(ES, order)
-    phis = [dict.fromkeys(data.down[a], 1) for a in range(n)]
-    psis = data.psi_terms
-
-    bijection_witness = None
-    for a in range(n):
-        acc = {}
-        for x in phis[a]:
-            for y, cy in psis[x].items():
-                acc[y] = acc.get(y, 0) + cy
-        acc = {k: v for k, v in acc.items() if v != 0}
-        if acc != {a: 1}:
-            bijection_witness = {"direction": "psi(phi(a))", "a": a, "got": _rational(acc)}
-            break
-    if bijection_witness is None:
-        for x in range(n):
-            acc = {}
-            for y, cy in psis[x].items():
-                for b in phis[y]:
-                    acc[b] = acc.get(b, 0) + cy
-            acc = {k: v for k, v in acc.items() if v != 0}
-            if acc != {x: 1}:
-                bijection_witness = {"direction": "phi(psi(x))", "x": x, "got": _rational(acc)}
-                break
-
-    case1, case2 = _hom_sweep(table, cod, dom, ES.leq_r if order == "r" else ES.leq_l)
+    bijection_witness = _bijection_witness(leq, order_data(ES, order))
+    case1, case2 = _hom_sweep(table, cod, dom, leq)
 
     expansion = None
     failures = sorted(case1 + case2)
     if failures:
         a, b = failures[0]
         ab = int(table[a, b])
+        phi_a, phi_b, phi_ab = (phi(ES, C, basis_element(SEMIGROUP, x), order) for x in (a, b, ab))
         expansion = {
             "a": a,
             "b": b,
             "ab": ab,
-            "phi_a": _rational(phis[a]),
-            "phi_b": _rational(phis[b]),
-            "phi_ab": _rational(phis[ab]),
-            "phi_a_phi_b": _rational(_mul_partial(table, cod, dom, phis[a], phis[b])),
+            "phi_a": phi_a.coeffs,
+            "phi_b": phi_b.coeffs,
+            "phi_ab": phi_ab.coeffs,
+            "phi_a_phi_b": mul_category(C, phi_a, phi_b).coeffs,
         }
 
     case1_count = int(np.bincount(cod, minlength=n) @ np.bincount(dom, minlength=n))

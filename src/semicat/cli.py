@@ -88,12 +88,21 @@ def _emit(args, payload, passed):
     return body
 
 
-def _maybe_emit_category(args, ES):
-    if args.emit_category and ES is not None:
-        C = build_category(ES)
+def _run(args):
+    """Load the input, dump its category if asked, and run the subcommand.
+
+    An input that is not Ehresmann is reported as a verified failure (exit 1).
+    """
+    ES, failure = _load(args)
+    if ES is None:
+        _status(False, "ehresmann-structure", str(failure))
+        _emit(args, {"derive_error": str(failure)}, False)
+        return 1
+    if args.emit_category:
         with open(args.emit_category, "w", encoding="utf-8") as fh:
-            json.dump(category_to_json(C), fh, sort_keys=True, indent=2)
+            json.dump(category_to_json(build_category(ES)), fh, sort_keys=True, indent=2)
             fh.write("\n")
+    return args.func(args, ES)
 
 
 def _status(ok, label, detail=""):
@@ -110,14 +119,7 @@ def _classification(left, right):
     return "neither left nor right restriction"
 
 
-def cmd_check(args):
-    ES, failure = _load(args)
-    if ES is None:
-        _status(False, "ehresmann-structure", str(failure))
-        _emit(args, {"derive_error": str(failure)}, False)
-        return 1
-    _maybe_emit_category(args, ES)
-
+def cmd_check(args, ES):
     variety = check_variety(ES.S, ES.plus, ES.star)
     left, lw = is_left_restriction(ES)
     right, rw = is_right_restriction(ES)
@@ -159,14 +161,7 @@ def cmd_check(args):
     return 0 if passed else 1
 
 
-def cmd_iso(args):
-    ES, failure = _load(args)
-    if ES is None:
-        _status(False, "ehresmann-structure", str(failure))
-        _emit(args, {"derive_error": str(failure)}, False)
-        return 1
-    _maybe_emit_category(args, ES)
-
+def cmd_iso(args, ES):
     report = verify_isomorphism(ES, order=args.order)
     _status(report.bijection, "bijection", "psi o phi = id and phi o psi = id")
     _status(
@@ -190,14 +185,7 @@ def cmd_iso(args):
     return 0 if report.passed else 1
 
 
-def cmd_rep(args):
-    ES, failure = _load(args)
-    if ES is None:
-        _status(False, "ehresmann-structure", str(failure))
-        _emit(args, {"derive_error": str(failure)}, False)
-        return 1
-    _maybe_emit_category(args, ES)
-
+def cmd_rep(args, ES):
     C = build_category(ES)
     ei = ei_report(ES, C)
     # computes Reg_E and the radical of QS once for the whole report
@@ -277,7 +265,7 @@ def main(argv=None) -> int:
     if args.workers < 1:
         parser.error("--workers must be >= 1")
     try:
-        return args.func(args)
+        return _run(args)
     except InputError as err:
         print(f"ERROR  {err}", file=sys.stderr)
         return 2

@@ -16,12 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ClassWithTwoIdempotentsError,
-    ClassWithoutIdempotentError,
-    CongruenceError,
-    NotSubsemilatticeError,
-)
+from .errors import ClassWithoutIdempotentError, CongruenceError, NotSubsemilatticeError
 from .reports import VerificationReport, first_witness
 from .semigroups import (
     FiniteSemigroup,
@@ -105,17 +100,15 @@ def derive_structure(S, E) -> EhresmannStructure:
 def _representatives(side, classes, index, E):
     """The map sending each element to the one member of E in its class.
 
-    Raises for the first class, in class order, that holds no member of E or
-    more than one (naming its two least members of E).
+    Raises for the first class, in class order, that holds no member of E.
+    No class holds two: E is a commuting subsemilattice, and members e, f of
+    one tilde-R (tilde-L) class are left (right) identities of each other, so
+    e = fe = ef = f.
     """
     count = np.bincount(index[E], minlength=len(classes))
-    bad = first_witness(count != 1, ("c",))
+    bad = first_witness(count == 0, ("c",))
     if bad:
-        c = bad["c"]
-        if count[c] == 0:
-            raise ClassWithoutIdempotentError(side, classes[c])
-        e, f = E[index[E] == c][:2].tolist()
-        raise ClassWithTwoIdempotentsError(side, classes[c], e, f)
+        raise ClassWithoutIdempotentError(side, classes[bad["c"]])
     rep = np.empty(len(classes), dtype=np.int64)
     rep[index[E]] = E
     return rep[index]

@@ -41,14 +41,6 @@ class ClassWithoutIdempotentError(SemicatError):
         self.members = tuple(members)
 
 
-class ClassWithTwoIdempotentsError(SemicatError):
-    def __init__(self, side, members, e, f):
-        super().__init__(f"{side} class {sorted(members)} contains idempotents {e} and {f}")
-        self.side = side
-        self.members = tuple(members)
-        self.pair = (e, f)
-
-
 class CongruenceError(SemicatError):
     def __init__(self, side, a, b):
         ident = "(ab)+ = (ab+)+" if side == "plus" else "(ab)* = (a*b)*"

@@ -33,8 +33,11 @@ def exact_matmul(a, b):
     product and partial sum is an integer float64 represents exactly, in any
     summation order, so float64 BLAS gives the exact result.  Otherwise the
     product is taken in int64; the caller keeps that route below INT64_SAFE.
+    A factor of Python ints (object dtype) makes the product one of Python ints.
     """
     a, b = np.asarray(a), np.asarray(b)
+    if object in (a.dtype, b.dtype):
+        return a.astype(object) @ b.astype(object)
     bound = abs_max(a) * abs_max(b) * a.shape[-1]
     if bound < FLOAT64_EXACT:
         return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)

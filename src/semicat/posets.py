@@ -111,34 +111,30 @@ def invert(P, g, cache=None):
     ]
 
 
-def order_poset(structure, order="r") -> FinitePoset:
-    """The natural order of an Ehresmann structure or category as a poset."""
+def natural_order(structure, order="r"):
+    """The boolean matrix leq[x, y] (x <= y) of one natural order of a structure."""
     if order not in ("r", "l"):
         raise ValueError("order must be 'r' or 'l'")
-    leq = structure.leq_r if order == "r" else structure.leq_l
-    return poset_from_matrix(leq)
+    return structure.leq_r if order == "r" else structure.leq_l
 
 
-@dataclass(frozen=True)
-class OrderData:
-    """One natural order of a structure, as phi and psi read it."""
-    down: tuple      # down[x]: the y <= x, ascending
-    psi_terms: tuple  # psi_terms[x]: {y: mu(y, x)} over y <= x with mu(y, x) != 0, ints
+def order_poset(structure, order="r") -> FinitePoset:
+    """The natural order of an Ehresmann structure or category as a poset."""
+    return poset_from_matrix(natural_order(structure, order))
 
 
-def order_data(structure, order="r") -> OrderData:
-    """Down-sets and Moebius values of one natural order, once per structure.
+def order_data(structure, order="r") -> np.ndarray:
+    """Integer Moebius matrix of one natural order, once per structure: mu[y, x] = mu(y, x).
 
-    The result is kept in the structure's instance dictionary (a frozen
-    dataclass still has one), so later calls for the same structure and order
-    read the same copy.
+    Its column x holds the coefficients of psi(x), as the column x of the
+    order matrix holds those of phi(x).  The result is kept in the structure's
+    instance dictionary (a frozen dataclass still has one), so later calls for
+    the same structure and order read the same read-only copy.
     """
-    return kept(structure, f"_order_data_{order}", _order_data, order)
+    return kept(structure, f"_moebius_{order}", _order_moebius, order)
 
 
-def _order_data(structure, order):
+def _order_moebius(structure, order):
     mu = moebius(order_poset(structure, order)).matrix
-    leq = structure.leq_r if order == "r" else structure.leq_l
-    down = tuple(tuple(np.flatnonzero(col).tolist()) for col in leq.T)
-    psi_terms = tuple({y: int(mu[y, x]) for y in down[x] if mu[y, x]} for x in range(len(down)))
-    return OrderData(down, psi_terms)
+    mu.flags.writeable = False
+    return mu

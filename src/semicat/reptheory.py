@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebras import basis_element, psi
 from .errors import (
     InconsistentComputationError,
     NotClosedError,
@@ -22,6 +21,7 @@ from .errors import (
 )
 from .ehresmann import is_left_restriction, is_right_restriction, tilde_relations
 from .linalg import nullspace, rank
+from .posets import order_data
 from .reports import first_witness, jsonable
 from .semigroups import green, kept
 
@@ -188,44 +188,21 @@ def is_ei(ES, C):
     return rep.is_ei, rep.witness
 
 
-def semigroup_mul(S):
-    """Structure constants of the semigroup algebra, as a basis-pair callable."""
-    t = S.table.tolist()
+def radical_oracle(table, defined):
+    """Radical of the algebra with basis b_k and b_k b_l = b_table[k, l] where defined[k, l].
 
-    def mul(i, j):
-        return {t[i][j]: 1}
-
-    return mul
-
-
-def category_mul(C):
-    """Structure constants of the category algebra (zero on non-composable pairs)."""
-    t, cod, dom = C.table.tolist(), C.cod.tolist(), C.dom.tolist()
-
-    def mul(i, j):
-        if cod[i] != dom[j]:
-            return {}
-        return {t[i][j]: 1}
-
-    return mul
-
-
-def radical_oracle(dim, mul):
-    """Radical of a rational algebra given by structure constants.
-
-    Builds the Gram matrix of the trace form of the regular representation,
-    T[i][j] = trace(L(b_i b_j)), appends the plain trace column (needed when
-    the algebra has no unit), and returns (dimension, basis) of the exact
-    nullspace.
+    Undefined products are 0: `defined` is all true for a semigroup algebra
+    and cod[:, None] == dom for a category algebra.  Left multiplication by b_k
+    fixes the b_l with defined[k, l] and table[k, l] = l, so its trace is
+    fix[k], the number of those l, and the Gram matrix of the trace form of
+    the regular representation, T[i, j] = trace(L(b_i b_j)), is fix[table]
+    where defined and 0 elsewhere.  The equations are the columns of T and
+    the plain trace row fix (needed when the algebra has no unit); returns
+    (dimension, basis) of their exact nullspace.
     """
-    prods = [[mul(i, j) for j in range(dim)] for i in range(dim)]
-    traces = [sum(prods[k][l].get(l, 0) for l in range(dim)) for k in range(dim)]
-
-    def trace_of(combo):
-        return sum(c * traces[k] for k, c in combo.items())
-
-    equations = [[trace_of(prods[i][j]) for i in range(dim)] for j in range(dim)]
-    equations.append([traces[i] for i in range(dim)])
+    fix = (defined & (table == np.arange(len(table)))).sum(axis=1)
+    equations = np.where(defined, fix[table], 0).T.tolist()
+    equations.append(fix.tolist())
     basis = nullspace(equations)
     return len(basis), basis
 
@@ -291,7 +268,7 @@ def radical_span(ES, C) -> RadicalReport:
         if index > n + 1:
             raise InconsistentComputationError("radical nilpotency", {"stalled_at": index})
 
-    oracle_dim, _ = radical_oracle(C.n, category_mul(C))
+    oracle_dim, _ = radical_oracle(t, cod[:, None] == dom)
     return RadicalReport(
         noninvertible=noninv,
         claimed_dim=len(noninv),
@@ -360,27 +337,18 @@ def semisimple_image_check(ES, C, order="r", allow_outside_theorem=False) -> Sem
 
     reg = reg_e(ES)
     n = ES.n
-    rad_dim, rad_basis = radical_oracle(n, semigroup_mul(ES.S))
+    rad_dim, rad_basis = radical_oracle(ES.S.table, np.ones((n, n), dtype=bool))
     dims_match = rad_dim == n - len(reg.elements)
 
     rows = [list(v) for v in rad_basis] + np.eye(n, dtype=np.int64)[list(reg.elements)].tolist()
     projection_full_rank = rank(rows) == rad_dim + len(reg.elements)
 
-    invertible = invertible_morphisms(ES, C)
-    reg_set = set(reg.elements)
-    pos = {a: i for i, a in enumerate(reg.elements)}
-    psi_rows = []
-    in_span = True
-    for x in invertible:
-        image = psi(ES, C, basis_element("category", x), order=order)
-        if any(k not in reg_set for k in image.coeffs):
-            in_span = False
-            break
-        row = [0] * len(reg.elements)
-        for k, v in image.coeffs.items():
-            row[pos[k]] = v
-        psi_rows.append(row)
-    psi_full_rank = in_span and rank(psi_rows) == len(reg.elements)
+    # column x of the Moebius matrix holds the coefficients of psi(x)
+    images = order_data(ES, order)[:, list(invertible_morphisms(ES, C))]
+    in_reg = np.zeros(n, dtype=bool)
+    in_reg[list(reg.elements)] = True
+    in_span = not images[~in_reg].any()
+    psi_full_rank = in_span and rank(images[in_reg].tolist()) == len(reg.elements)
 
     all_ok = dims_match and projection_full_rank and in_span and psi_full_rank
     return SemisimpleReport(

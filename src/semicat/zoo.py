@@ -30,6 +30,7 @@ from .semigroups import (
 PT_MAX = 5
 B_MAX = 3  # a dense table for all binary relations on 4 points would need 2^32 entries
 T_MAX = 5
+ELEMENTS_MAX = (PT_MAX + 1) ** PT_MAX  # 7776 = |PT_5|, the largest member the other families allow
 
 
 def _pt_name(vec, n):
@@ -195,8 +196,8 @@ def strong_semilattice(Y, monoids, maps) -> EhresmannStructure:
 
 
 def cyclic_group(k) -> FiniteSemigroup:
-    if k < 1:
-        raise ValueError("k must be positive")
+    if not 1 <= k <= ELEMENTS_MAX:
+        raise ValueError(f"cyclic_group supports 1 <= k <= {ELEMENTS_MAX}")
     names = tuple(f"g{i}" for i in range(k))
     return validate([[(i + j) % k for j in range(k)] for i in range(k)], names)
 
@@ -287,11 +288,13 @@ def parse_zoo_spec(spec):
             groups = parts[2].split(",")
             if len(groups) != k:
                 raise ValueError(f"chain{k} needs {k} monoids, got {len(groups)}")
-            monoids = []
             for g in groups:
                 if not g.startswith("z"):
                     raise ValueError(f"unknown monoid {g!r}")
-                monoids.append(cyclic_group(int(g[1:])))
+            orders = [int(g[1:]) for g in groups]
+            if sum(orders) > ELEMENTS_MAX:
+                raise ValueError(f"{sum(orders)} elements, above the limit {ELEMENTS_MAX}")
+            monoids = [cyclic_group(order) for order in orders]
             # chain element i covers i+1; product = max index (lower in the order)
             table = [[max(a, b) for b in range(k)] for a in range(k)]
             Y = validate(table)

@@ -33,7 +33,6 @@ from semicat import (
     verify_isomorphism,
 )
 from semicat import zoo
-from semicat.reptheory import category_mul
 from test_posets import random_poset
 
 
@@ -150,7 +149,7 @@ def test_criterion_7_radical_agreement(zoo_members):
         if not ei_report(es, C).is_ei:
             continue
         rad = radical_span(es, C)
-        oracle_dim, _ = radical_oracle(C.n, category_mul(C))
+        oracle_dim, _ = radical_oracle(C.table, C.cod[:, None] == C.dom)
         ok = ok and rad.claimed_dim == oracle_dim == rad.oracle_dim
         details.append(f"{name}={rad.oracle_dim}")
         if name == "pt:2":

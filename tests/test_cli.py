@@ -238,7 +238,7 @@ def test_rep_computes_each_radical_once(monkeypatch, capsys):
     calls = []
     original = reptheory.radical_oracle
     monkeypatch.setattr(reptheory, "radical_oracle",
-                        lambda dim, mul: calls.append(dim) or original(dim, mul))
+                        lambda table, defined: calls.append(len(table)) or original(table, defined))
     code, _, _ = run(capsys, "rep", "--zoo", "pt:2")
     assert code == 0
     assert calls == [9, 9]  # QS once in the semisimple check, then QC in the radical span
@@ -263,6 +263,30 @@ def test_python_dash_m_runs_the_cli():
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert "PASS  category-axioms" in done.stdout
+
+
+def test_traced_benchmark_operations_record_their_spans(tmp_path):
+    # the benchmark's op.py wraps public functions from outside: it hashes the
+    # poset moebius receives and reads rank/nullspace arguments as row lists
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spans = {}
+    for argv, code in ((["rep", "--zoo", "pt:2"], 0), (["iso", "--zoo", "b:2"], 1)):
+        trace = tmp_path / f"{argv[0]}.json"
+        done = subprocess.run(
+            [sys.executable, os.path.join(root, "perfbench", "op.py"), "--trace", str(trace),
+             "--", *argv], cwd=tmp_path, capture_output=True, text=True, timeout=120)
+        assert done.returncode == code, done.stderr
+        spans[argv[0]] = {span[0] for span in json.loads(trace.read_text())["spans"]}
+    assert spans["rep"] >= {"reptheory.radical_oracle", "linalg.nullspace", "linalg.rank",
+                            "posets.moebius"}
+    assert "posets.moebius" in spans["iso"]
+
+
+def test_oversized_zoo_spec_is_an_input_error(capsys):
+    # rejected before the 10^10-entry table is allocated
+    code, out, err = run(capsys, "check", "--zoo", "z:100000")
+    assert (code, out) == (2, "")
+    assert "7776" in err
 
 
 def test_check_sweeps_associativity_once(monkeypatch, capsys):

@@ -10,6 +10,7 @@ from semicat import (
     check_variety,
     derive_structure,
     green,
+    idempotents,
     is_left_restriction,
     is_right_restriction,
     maximal_subsemilattices,
@@ -21,7 +22,6 @@ from semicat import (
 from semicat import zoo
 from semicat.ehresmann import EhresmannStructure
 from semicat.errors import (
-    ClassWithTwoIdempotentsError,
     ClassWithoutIdempotentError,
     CongruenceError,
     NotSubsemilatticeError,
@@ -29,6 +29,26 @@ from semicat.errors import (
 )
 from semicat.reports import VerificationReport
 from semicat.semigroups import FiniteSemigroup
+
+
+def test_no_tilde_class_holds_two_members_of_e(zoo_members):
+    # members e, f of E in one tilde-R class are left identities of each
+    # other, ef = f and fe = e, so e = f once E is a commuting subsemilattice
+    # (dually for tilde-L); derive_structure checks that first
+    rng = random.Random(34)
+    checked = 0
+    for es in zoo_members.values():
+        idem = sorted(idempotents(es.S))
+        draws = [rng.sample(idem, rng.randint(1, min(len(idem), 4))) for _ in range(60)]
+        for E in [list(es.E), *draws]:
+            if subsemilattice_violation(es.S, E) is not None:
+                continue
+            E = sorted(set(E))
+            tilde = tilde_relations(es.S, E)
+            for index in (tilde.r_index, tilde.l_index):
+                assert len(set(index[E].tolist())) == len(E)
+            checked += len(E) > 1
+    assert checked >= 100
 
 
 def test_tilde_distinct_idempotents_never_related(pt2):
@@ -372,8 +392,7 @@ def reference_derive(S, E):
             reps = [e for e in cls if e in E]
             if not reps:
                 raise ClassWithoutIdempotentError(side, cls)
-            if len(reps) > 1:
-                raise ClassWithTwoIdempotentsError(side, cls, reps[0], reps[1])
+            assert len(reps) == 1  # see test_no_tilde_class_holds_two_members_of_e
             for a in cls:
                 image[a] = reps[0]
         maps.append(image)

@@ -1,22 +1,27 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semicat import (
+    basis_element,
     build_category,
     ei_report,
     green,
     invertible_morphisms,
     is_ei,
     is_inverse,
+    psi,
     radical_oracle,
     radical_span,
     reg_e,
     semisimple_image_check,
     validate,
 )
-from semicat import zoo
+from semicat import algebras, reptheory, zoo
 from semicat.ehresmann import EhresmannStructure
 from semicat.errors import (
     InconsistentComputationError,
@@ -25,7 +30,9 @@ from semicat.errors import (
     PreconditionNotMetError,
     SemicatError,
 )
-from semicat.reptheory import EIReport, RadicalReport, RegESet, category_mul, semigroup_mul
+from semicat.linalg import nullspace, rank
+from semicat.posets import order_data
+from semicat.reptheory import EIReport, RadicalReport, RegESet
 from semicat.semigroups import FiniteSemigroup
 from test_ehresmann import reference_tilde_relations
 from test_semigroups import reference_green
@@ -196,23 +203,92 @@ def test_groupoid_iff_inverse_with_full_idempotents(zoo_members):
         assert rep.is_groupoid == expected
 
 
+# --- the trace-form Gram gather against the per-pair dict route ------------------
+
+
+def all_defined(n):
+    return np.ones((n, n), dtype=bool)
+
+
+def composable(C):
+    return C.cod[:, None] == C.dom
+
+
+def reference_semigroup_mul(S):
+    """Structure constants of the semigroup algebra, as a basis-pair callable."""
+    t = S.table.tolist()
+
+    def mul(i, j):
+        return {t[i][j]: 1}
+
+    return mul
+
+
+def reference_category_mul(C):
+    """Structure constants of the category algebra (zero on non-composable pairs)."""
+    t, cod, dom = C.table.tolist(), C.cod.tolist(), C.dom.tolist()
+
+    def mul(i, j):
+        if cod[i] != dom[j]:
+            return {}
+        return {t[i][j]: 1}
+
+    return mul
+
+
+def reference_radical_oracle(dim, mul):
+    """The Gram matrix T[i][j] = trace(L(b_i b_j)) from per-pair product dicts."""
+    prods = [[mul(i, j) for j in range(dim)] for i in range(dim)]
+    traces = [sum(prods[k][l].get(l, 0) for l in range(dim)) for k in range(dim)]
+
+    def trace_of(combo):
+        return sum(c * traces[k] for k, c in combo.items())
+
+    equations = [[trace_of(prods[i][j]) for i in range(dim)] for j in range(dim)]
+    equations.append([traces[i] for i in range(dim)])
+    basis = nullspace(equations)
+    return len(basis), basis
+
+
+def test_radical_oracle_matches_the_dict_route_on_the_zoo(zoo_members):
+    members = {**zoo_members, "t:3": zoo.parse_zoo_spec("t:3"), "op:4": zoo.parse_zoo_spec("op:4")}
+    for name, es in members.items():
+        C = build_category(es)
+        assert radical_oracle(es.S.table, all_defined(es.n)) == \
+            reference_radical_oracle(es.n, reference_semigroup_mul(es.S)), name
+        assert radical_oracle(C.table, composable(C)) == \
+            reference_radical_oracle(C.n, reference_category_mul(C)), name
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_radical_oracle_matches_the_dict_route_on_arbitrary_tables(data):
+    # any table and any mask of defined products, associative or not
+    n = data.draw(st.integers(1, 6))
+    cells = st.lists(st.integers(0, n - 1), min_size=n * n, max_size=n * n)
+    table = np.array(data.draw(cells)).reshape(n, n)
+    defined = np.array(data.draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n)))
+    defined = defined.reshape(n, n)
+    t, mask = table.tolist(), defined.tolist()
+
+    def mul(i, j):
+        return {t[i][j]: 1} if mask[i][j] else {}
+
+    assert radical_oracle(table, defined) == reference_radical_oracle(n, mul)
+
+
 def test_radical_oracle_two_element_semilattice():
     # QS for the meet-semilattice {e > f}: isomorphic to Q x Q, radical 0
     S = validate([[0, 1], [1, 1]])
-    dim, basis = radical_oracle(2, semigroup_mul(S))
+    dim, basis = radical_oracle(S.table, all_defined(2))
     assert dim == 0 and basis == []
 
 
 def test_radical_oracle_nilpotent_extension_by_hand():
     # basis {1, n} with n^2 = 0: Gram matrix [[2, 0], [0, 0]], radical = <n>
-    def mul(i, j):
-        if i == 0:
-            return {j: Fraction(1)}
-        if j == 0:
-            return {i: Fraction(1)}
-        return {}
-
-    dim, basis = radical_oracle(2, mul)
+    table = np.array([[0, 1], [1, 0]])
+    defined = np.array([[True, True], [True, False]])
+    dim, basis = radical_oracle(table, defined)
     assert dim == 1
     assert basis == [(Fraction(0), Fraction(1))]
 
@@ -222,21 +298,21 @@ def test_radical_oracle_rectangular_band():
     # nilpotent (K^3 = 0) and the quotient is Q, so Rad has dimension 3
     table = [[(a // 2) * 2 + (b % 2) for b in range(4)] for a in range(4)]
     rb = validate(table)
-    dim, _ = radical_oracle(4, semigroup_mul(rb))
+    dim, _ = radical_oracle(rb.table, all_defined(4))
     assert dim == 3
 
 
 def test_radical_oracle_group_algebras_semisimple():
     for k in (2, 3, 4, 5):
         S = zoo.cyclic_group(k)
-        dim, _ = radical_oracle(k, semigroup_mul(S))
+        dim, _ = radical_oracle(S.table, all_defined(k))
         assert dim == 0
 
 
 def test_radical_oracle_groupoid_category(i2, ssl):
     for es in (i2, ssl):
         C = build_category(es)
-        dim, _ = radical_oracle(C.n, category_mul(C))
+        dim, _ = radical_oracle(C.table, composable(C))
         assert dim == 0
 
 
@@ -442,7 +518,7 @@ def reference_radical_span(es, C):
         if index > C.n + 1:
             raise InconsistentComputationError("radical nilpotency", {"stalled_at": index})
 
-    oracle_dim, _ = radical_oracle(C.n, category_mul(C))
+    oracle_dim, _ = reference_radical_oracle(C.n, reference_category_mul(C))
     return RadicalReport(
         noninvertible=noninv,
         claimed_dim=len(noninv),
@@ -526,3 +602,65 @@ def test_radical_span_matches_the_loops(zoo_members):
         kinds.add(kind_of(got) if kind_of(got) != "ok" else ("ok", got.ideal_witness is None))
     assert kinds >= {("ok", True), ("ok", False), "NotEIError",
                      "internal cross-check failed for radical nilpotency"}
+
+
+def reference_psi_image(es, C, order):
+    """(psi_image_in_span, psi_image_full_rank) from psi of one invertible morphism at a time."""
+    reg = reg_e(es)
+    reg_set = set(reg.elements)
+    pos = {a: i for i, a in enumerate(reg.elements)}
+    psi_rows = []
+    for x in invertible_morphisms(es, C):
+        image = psi(es, C, basis_element("category", x), order=order)
+        if any(k not in reg_set for k in image.coeffs):
+            return False, False
+        row = [0] * len(reg.elements)
+        for k, v in image.coeffs.items():
+            row[pos[k]] = v
+        psi_rows.append(row)
+    return True, rank(psi_rows) == len(reg.elements)
+
+
+def mutated_moebius(es, C, order, rng):
+    """The Moebius matrix of `order` with one entry changed or one column copied.
+
+    Entries outside Reg_E under an invertible morphism move psi's image out of
+    the span; a column copied between two invertible morphisms makes the
+    images dependent.
+    """
+    mu = order_data(es, order).copy()
+    invertible = invertible_morphisms(es, C)
+    x, y = rng.choice(invertible), rng.choice(invertible)
+    if rng.random() < 0.5:
+        mu[:, y] = mu[:, x]
+    else:
+        mu[rng.randrange(es.n), x] += rng.choice([-1, 1, 2])
+    return mu
+
+
+def test_psi_image_matches_the_loop(zoo_members, monkeypatch):
+    members = {**zoo_members, "t:3": zoo.parse_zoo_spec("t:3"), "op:4": zoo.parse_zoo_spec("op:4")}
+    rng = random.Random(43)
+    kinds = set()
+
+    def check(es, C, order):
+        got = outcome(semisimple_image_check, es, C, order, True)
+        if kind_of(got) == "ok":
+            images = (got.psi_image_in_span, got.psi_image_full_rank)
+            assert images == reference_psi_image(es, C, order)
+            kinds.add(images)
+        # otherwise a check tested above raised before the psi images
+
+    for es in list(members.values()) + list(structure_mutants(zoo_members, 43, 360)):
+        C = build_category(es)
+        for order in ("r", "l"):
+            check(es, C, order)
+    for trial in range(120):
+        es = list(zoo_members.values())[trial % len(zoo_members)]
+        C, order = build_category(es), rng.choice("rl")
+        with monkeypatch.context() as m:
+            mu = mutated_moebius(es, C, order, rng)
+            for module in (reptheory, algebras):
+                m.setattr(module, "order_data", lambda ES, order="r": mu)
+            check(es, C, order)
+    assert kinds == {(True, True), (True, False), (False, False)}

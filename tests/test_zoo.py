@@ -270,6 +270,16 @@ def test_zoo_spec_parser_roundtrip():
             zoo.parse_zoo_spec(bad)
 
 
+@pytest.mark.parametrize("spec", ["z:7777", "z:100000", "ssl:chain2:z7776,z1",
+                                  "ssl:chain3:z3000,z3000,z2000", "ssl:chain2:z9000,z-5000"])
+def test_zoo_specs_above_pt5_size_are_rejected_before_building(monkeypatch, spec):
+    # the bound is |PT_5| = 7776 elements; nothing is validated or allocated
+    monkeypatch.setattr(zoo, "validate", lambda *args: pytest.fail("built a table"))
+    with pytest.raises(ValueError, match="7776"):
+        zoo.parse_zoo_spec(spec)
+    assert zoo.ELEMENTS_MAX == 7776
+
+
 def test_every_member_dumps_to_interchange(zoo_members):
     from semicat import from_interchange
 
