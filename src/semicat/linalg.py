@@ -1,22 +1,23 @@
-"""Exact linear algebra over the rationals: echelon form, rank, nullspace.
+"""Exact linear algebra over the rationals on integer matrices: echelon form, rank, nullspace.
 
-`rank` and `nullspace` first work modulo the prime PRIME in numpy int64
-arithmetic, and accept that answer only with an exact certificate:
+`rank` and `nullspace` take integer rows (any other entry raises TypeError)
+and read one kernel, computed modulo the prime PRIME in int64 arithmetic and
+accepted only with an exact certificate:
 
-* rank over Q >= rank mod p, so a matrix of full rank mod p has that rank;
 * each kernel vector of the reduced row echelon form mod p is lifted to Q by
-  rational reconstruction and checked exactly, A v = 0 in integers.  When the
-  checked vectors number ncols - rank_p they span the kernel, and as each has
-  a 1 at its free column and is supported on earlier pivot columns only, they
-  are exactly the canonical basis that rational elimination returns.
+  rational reconstruction and checked exactly, A v = 0 in integers;
+* rank over Q >= rank_p, and the ncols - rank_p checked vectors give rank
+  over Q <= rank_p: they span the kernel (rank = ncols - their number) and,
+  each with a 1 at its free column and supported on earlier pivot columns
+  only, are the canonical basis that rational elimination returns.
 
-Anything else (reconstruction fails, a check fails, rank deficiency mod p in
-`rank`) falls back to Fraction elimination (`rational_rank`,
-`rational_nullspace`), which is also the reference the tests compare against.  Pivoting is deterministic (first nonzero
-by index) so downstream reports are byte-stable.
+Only if reconstruction or the check fails does the kernel come from Fraction
+elimination (`rational_nullspace`, also the tests' reference).  Pivoting is
+deterministic (first nonzero by index) so downstream reports are byte-stable.
 """
 
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -27,21 +28,21 @@ FLOAT64_EXACT = 2**53  # every integer of smaller magnitude is a float64
 
 
 def exact_matmul(a, b):
-    """The integer product a @ b as int64, computed exactly.
+    """The integer product a @ b, computed exactly.
 
-    When max|a| * max|b| * k < FLOAT64_EXACT (k the inner dimension), every
-    product and partial sum is an integer float64 represents exactly, in any
-    summation order, so float64 BLAS gives the exact result.  Otherwise the
-    product is taken in int64; the caller keeps that route below INT64_SAFE.
-    A factor of Python ints (object dtype) makes the product one of Python ints.
+    With bound = max|a| * max|b| * k (k the inner dimension) bounding every
+    product and partial sum: below FLOAT64_EXACT each is an integer float64
+    represents exactly, in any summation order, so float64 BLAS gives the
+    result; below INT64_SAFE int64 cannot overflow; otherwise the product is
+    taken in Python ints (object dtype).
     """
     a, b = np.asarray(a), np.asarray(b)
-    if object in (a.dtype, b.dtype):
-        return a.astype(object) @ b.astype(object)
     bound = abs_max(a) * abs_max(b) * a.shape[-1]
     if bound < FLOAT64_EXACT:
         return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
-    return a.astype(np.int64) @ b.astype(np.int64)
+    if bound < INT64_SAFE:
+        return a.astype(np.int64) @ b.astype(np.int64)
+    return a.astype(object) @ b.astype(object)
 
 
 def abs_max(a):
@@ -78,17 +79,14 @@ def row_echelon(rows):
     return pivots
 
 
-def _integer_matrix(matrix):
-    """The rows scaled by their common denominators (same row space), as an array.
-
-    The array is int64 when every entry is below INT64_SAFE, else Python ints.
-    """
-    rows = []
-    for row in matrix:
-        den = math.lcm(*{x.denominator for x in row})
-        rows.append([int(x) for x in row] if den == 1 else [int(x * den) for x in row])
-    big = max((abs(x) for row in rows for x in row), default=0)
-    return np.array(rows, dtype=np.int64 if big < INT64_SAFE else object)
+def _integer_array(matrix):
+    """Integer rows as int64, or as Python ints (object dtype) beyond int64; else TypeError."""
+    a = np.array(matrix, ndmin=2)
+    if a.size == 0 or a.dtype.kind in "bi":  # numpy reads rows without entries as float
+        return a.astype(np.int64)
+    # a cast would truncate Fraction(1, 2) to 0, and [2**63, -1] reads as float64
+    a = np.array([[operator.index(x) for x in row] for row in matrix], dtype=object)
+    return a.astype(np.int64) if abs_max(a) < 2**63 else a
 
 
 def _rref_mod_p(a, p):
@@ -125,8 +123,8 @@ def _reconstruct(x, p):
     return Fraction(r1, s1)
 
 
-def _modular_nullspace(a):
-    """The canonical kernel basis of integer array `a`, certified, or None."""
+def _kernel(a):
+    """Canonical kernel basis of integer array `a`: certified mod p, else by Fraction elimination."""
     p = PRIME
     ncols = a.shape[1]
     form, pivots = _rref_mod_p(a, p)
@@ -141,7 +139,7 @@ def _modular_nullspace(a):
             x = int(residues[r, j])
             value = x if x <= bound else x - p if p - x <= bound else _reconstruct(x, p)
             if value is None:
-                return None
+                return rational_nullspace(a.tolist())
             entries[pivots[r]] = value
         den = math.lcm(*(v.denominator for v in entries.values()))
         w = [0] * ncols
@@ -149,12 +147,8 @@ def _modular_nullspace(a):
             w[c] = int(v * den)
         vectors.append(entries)
         scaled.append(w)
-    if scaled:
-        amax = int(np.abs(a).max())
-        wmax = max(abs(x) for w in scaled for x in w)
-        exact = np.int64 if amax * wmax * ncols < INT64_SAFE else object
-        if (a.astype(exact) @ np.array(scaled, dtype=exact).T).any():
-            return None
+    if scaled and exact_matmul(a, _integer_array(scaled).T).any():
+        return rational_nullspace(a.tolist())
     zero = Fraction(0)
     basis = []
     for entries in vectors:
@@ -163,11 +157,6 @@ def _modular_nullspace(a):
             vec[c] = Fraction(v)
         basis.append(tuple(vec))
     return basis
-
-
-def rational_rank(matrix) -> int:
-    """Rank by Fraction elimination: the fallback and reference route."""
-    return len(row_echelon([[Fraction(x) for x in row] for row in matrix]))
 
 
 def rational_nullspace(matrix):
@@ -190,17 +179,11 @@ def rational_nullspace(matrix):
 
 
 def rank(matrix) -> int:
-    if matrix and len(matrix[0]):
-        a = _integer_matrix(matrix)
-        _, pivots = _rref_mod_p(a, PRIME)
-        if len(pivots) == min(a.shape):
-            return len(pivots)
-    return rational_rank(matrix)
+    """Rank of an integer matrix given as rows: ncols minus the kernel's dimension."""
+    a = _integer_array(matrix)
+    return a.shape[1] - len(_kernel(a))
 
 
 def nullspace(matrix):
-    """Basis of {x : A x = 0} for A given as rows; vectors are Fraction tuples."""
-    if not matrix:
-        return []
-    basis = _modular_nullspace(_integer_matrix(matrix))
-    return rational_nullspace(matrix) if basis is None else basis
+    """Basis of {x : A x = 0} for an integer matrix A given as rows; vectors are Fraction tuples."""
+    return _kernel(_integer_array(matrix))

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import NotAPosetError
-from .linalg import INT64_SAFE, abs_max, exact_matmul
+from .linalg import exact_matmul
 from .reports import first_witness
 from .semigroups import kept
 
@@ -81,14 +81,13 @@ def moebius(P) -> MoebiusCache:
     """Moebius function of a finite poset: the inverse of its zeta matrix.
 
     The inverse is computed in int64 and accepted once Z M = I is verified
-    exactly there (no entry of M times m may reach INT64_SAFE); otherwise it
-    is recomputed in Python ints, where no check is needed.  Values are
-    integers, exposed as exact rationals.
+    exactly: Z is invertible, so an inverse that wrapped around in int64
+    fails the check.  It is then recomputed in Python ints, where no check is
+    needed.  Values are integers, exposed as exact rationals.
     """
     leq = np.array(P.leq, dtype=bool).reshape(P.m, P.m)
     mu = _inverse_zeta(leq, np.int64)
-    if not (P.m * abs_max(mu) < INT64_SAFE
-            and (exact_matmul(leq, mu) == np.eye(P.m, dtype=np.int64)).all()):
+    if not (exact_matmul(leq, mu) == np.eye(P.m, dtype=np.int64)).all():
         mu = _inverse_zeta(leq, object)
     values = {(int(x), int(y)): Fraction(int(mu[x, y])) for x, y in np.argwhere(leq)}
     return MoebiusCache(values, mu)

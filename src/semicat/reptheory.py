@@ -200,11 +200,14 @@ def radical_oracle(table, defined):
     the plain trace row fix (needed when the algebra has no unit); returns
     (dimension, basis) of their exact nullspace.
     """
-    fix = (defined & (table == np.arange(len(table)))).sum(axis=1)
-    equations = np.where(defined, fix[table], 0).T.tolist()
-    equations.append(fix.tolist())
-    basis = nullspace(equations)
+    basis = nullspace(_trace_form(table, defined).tolist())
     return len(basis), basis
+
+
+def _trace_form(table, defined):
+    """The radical's equations: the columns of the Gram matrix fix[table], then the row fix."""
+    fix = (defined & (table == np.arange(len(table)))).sum(axis=1)
+    return np.vstack([np.where(defined, fix[table], 0).T, fix])
 
 
 @dataclass(frozen=True)
@@ -337,11 +340,13 @@ def semisimple_image_check(ES, C, order="r", allow_outside_theorem=False) -> Sem
 
     reg = reg_e(ES)
     n = ES.n
-    rad_dim, rad_basis = radical_oracle(ES.S.table, np.ones((n, n), dtype=bool))
+    everywhere = np.ones((n, n), dtype=bool)
+    rad_dim, _ = radical_oracle(ES.S.table, everywhere)
     dims_match = rad_dim == n - len(reg.elements)
 
-    rows = [list(v) for v in rad_basis] + np.eye(n, dtype=np.int64)[list(reg.elements)].tolist()
-    projection_full_rank = rank(rows) == rad_dim + len(reg.elements)
+    # the radical meets span{e_r : r in Reg_E} only in 0 iff those columns have full rank
+    equations = _trace_form(ES.S.table, everywhere)[:, list(reg.elements)]
+    projection_full_rank = rank(equations.tolist()) == len(reg.elements)
 
     # column x of the Moebius matrix holds the coefficients of psi(x)
     images = order_data(ES, order)[:, list(invertible_morphisms(ES, C))]

@@ -12,6 +12,8 @@ import numpy as np
 from .errors import NotAssociativeError, NotClosedError, OutOfRangeError
 from .reports import first_witness
 
+ELEMENTS_MAX = 7776  # |PT_5|, the largest zoo member; larger inputs never reach validate
+
 
 def freeze_fields(obj, **dtypes):
     """Store each named field of a frozen dataclass as a read-only array of its dtype.
@@ -293,6 +295,8 @@ def from_interchange(obj):
     table = obj["table"]
     if not (isinstance(table, list) and all(isinstance(row, list) for row in table)):
         raise ValueError("table must be a list of lists")
+    if len(table) > ELEMENTS_MAX:
+        raise ValueError(f"{len(table)} elements, above the limit {ELEMENTS_MAX}")
     n = obj.get("n", len(table))
     if not _is_index_type(type(n)):
         raise ValueError("n must be an integer")

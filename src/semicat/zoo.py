@@ -19,6 +19,7 @@ from .ehresmann import EhresmannStructure, derive_structure
 from .errors import IncompatibleMapsError, NotClosedError
 from .reports import first_witness
 from .semigroups import (
+    ELEMENTS_MAX,
     FiniteSemigroup,
     identity_of,
     opposite,
@@ -30,7 +31,7 @@ from .semigroups import (
 PT_MAX = 5
 B_MAX = 3  # a dense table for all binary relations on 4 points would need 2^32 entries
 T_MAX = 5
-ELEMENTS_MAX = (PT_MAX + 1) ** PT_MAX  # 7776 = |PT_5|, the largest member the other families allow
+CHAIN_MAX = 64  # strong_semilattice checks chain compatibility in O(K^3) Python steps
 
 
 def _pt_name(vec, n):
@@ -285,6 +286,8 @@ def parse_zoo_spec(spec):
             if not chain.startswith("chain"):
                 raise ValueError(f"unknown semilattice {chain!r}")
             k = int(chain[len("chain"):])
+            if k > CHAIN_MAX:
+                raise ValueError(f"chain{k} has more than {CHAIN_MAX} components")
             groups = parts[2].split(",")
             if len(groups) != k:
                 raise ValueError(f"chain{k} needs {k} monoids, got {len(groups)}")

@@ -289,6 +289,20 @@ def test_oversized_zoo_spec_is_an_input_error(capsys):
     assert "7776" in err
 
 
+def test_long_ssl_chain_is_an_input_error(capsys):
+    code, out, err = run(capsys, "check", "--zoo", "ssl:chain100:" + ",".join(["z1"] * 100))
+    assert (code, out) == (2, "")
+    assert "64" in err
+
+
+def test_oversized_interchange_input_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"table": [[]] * 7777}))
+    code, out, err = run(capsys, "check", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert "7776" in err
+
+
 def test_check_sweeps_associativity_once(monkeypatch, capsys):
     # validate proves the table associative; variety identity 11 reads that result
     calls = []

@@ -8,26 +8,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semicat import linalg
-from semicat.linalg import PRIME, nullspace, rank, rational_nullspace, rational_rank
+from semicat import linalg, reptheory, zoo
+from semicat.linalg import PRIME, nullspace, rank, rational_nullspace, row_echelon
+
+
+def rational_rank(matrix) -> int:
+    """Rank by Fraction elimination: the reference route."""
+    return len(row_echelon([[Fraction(x) for x in row] for row in matrix]))
 
 
 @pytest.fixture
 def fallbacks(monkeypatch):
     """Records each fallback of nullspace and rank to Fraction elimination.
 
-    The tests call the reference routes through their own imported names,
-    which the spies do not see.
+    The tests call the reference route through its own imported name, which
+    the spy does not see.
     """
     calls = []
-    for name in ("rational_nullspace", "rational_rank"):
-        original = getattr(linalg, name)
+    original = linalg.rational_nullspace
 
-        def spy(matrix, name=name, original=original):
-            calls.append(name)
-            return original(matrix)
+    def spy(matrix):
+        calls.append("rational_nullspace")
+        return original(matrix)
 
-        monkeypatch.setattr(linalg, name, spy)
+    monkeypatch.setattr(linalg, "rational_nullspace", spy)
     return calls
 
 
@@ -55,12 +59,22 @@ def test_fast_paths_match_fraction_elimination(matrix):
     assert rank(matrix) == rational_rank(matrix)
 
 
-@settings(max_examples=100, deadline=None)
-@given(integer_matrices(), st.integers(1, 12))
-def test_rational_entries_match_fraction_elimination(matrix, den):
-    scaled = [[Fraction(x, den + i) for x in row] for i, row in enumerate(matrix)]
-    assert nullspace(scaled) == rational_nullspace(scaled)
-    assert rank(scaled) == rational_rank(scaled)
+def test_entries_that_are_not_integers_are_rejected():
+    # a cast to int64 would read Fraction(1, 2) as 0 and 0.5 as 0
+    for entry in (Fraction(1, 2), Fraction(2), 0.5, 1.0, "1", None):
+        for matrix in ([[entry]], [[1, entry], [0, 1]], [[2**70, entry]]):
+            with pytest.raises(TypeError):
+                rank(matrix)
+            with pytest.raises(TypeError):
+                nullspace(matrix)
+
+
+def test_op4_trace_form_rank_is_certified_without_fraction_elimination(fallbacks):
+    # rank deficient (70 of 192 columns): the certified kernel gives the rank
+    es = zoo.parse_zoo_spec("op:4")
+    equations = reptheory._trace_form(es.S.table, np.ones((es.n, es.n), dtype=bool))
+    assert rank(equations.tolist()) == 70
+    assert fallbacks == []
 
 
 def test_small_integer_matrices_take_the_fast_path(fallbacks):
@@ -87,7 +101,7 @@ def test_entries_that_are_multiples_of_p_fall_back(fallbacks):
     matrix = [[PRIME, 0], [0, 1]]
     assert nullspace(matrix) == rational_nullspace(matrix) == []
     assert rank(matrix) == 2
-    assert fallbacks == ["rational_nullspace", "rational_rank"]
+    assert fallbacks == ["rational_nullspace", "rational_nullspace"]
 
 
 def test_unreconstructable_kernel_falls_back(fallbacks):
@@ -102,6 +116,14 @@ def test_entries_beyond_int64_are_checked_in_python_ints(fallbacks):
     matrix = [[big, big, 0], [0, big, big]]
     assert nullspace(matrix) == rational_nullspace(matrix) == [(1, -1, 1)]
     assert rank(matrix) == 2
+    assert fallbacks == []
+
+
+def test_entries_from_2_63_beside_negative_ones_stay_exact(fallbacks):
+    # numpy reads 2**63 next to a negative entry as float64, which would round it
+    matrix = [[2**63, -1], [1, 0]]
+    assert nullspace(matrix) == [] and rank(matrix) == 2
+    assert nullspace([[2**63 + 1, -(2**63 + 1)]]) == [(1, 1)]
     assert fallbacks == []
 
 
@@ -159,6 +181,25 @@ def test_exact_matmul_int64_route_when_bound_is_zero(pair):
         got = linalg.exact_matmul(np.array(a, dtype=np.int64).reshape(m, k),
                                   np.array(b, dtype=np.int64).reshape(k, n))
     assert got.tolist() == python_product(a, b, m, k, n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrix_pairs(bound=2**40))
+def test_exact_matmul_python_int_route_above_int64_safe(pair):
+    # int64 products of entries near 2**40 would wrap around
+    a, b, m, k, n = pair
+    a, b = np.array(a, dtype=np.int64).reshape(m, k), np.array(b, dtype=np.int64).reshape(k, n)
+    got = linalg.exact_matmul(a, b)
+    if linalg.abs_max(a) * linalg.abs_max(b) * k >= linalg.INT64_SAFE:
+        assert got.dtype == object
+    assert got.tolist() == python_product(a.tolist(), b.tolist(), m, k, n)
+
+
+def test_exact_matmul_of_entries_beyond_int64():
+    a = np.array([[2**40, -(2**40)], [3, 2**70]], dtype=object)
+    b = np.array([[2**40], [1]])
+    assert linalg.exact_matmul(a, b).tolist() == [[2**80 - 2**40], [3 * 2**40 + 2**70]]
+    assert linalg.exact_matmul(b.T, b).tolist() == [[2**80 + 1]]
 
 
 def test_exact_matmul_bound_keeps_float_route_exact(monkeypatch):

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from semicat import (
@@ -133,10 +134,20 @@ def test_zeta_inverse_matches_interval_recursion_on_random_posets():
         assert all(isinstance(v, Fraction) for v in mu.values.values())
 
 
-def test_python_int_route_when_int64_cannot_be_certified(monkeypatch):
-    # with no int64 headroom the inverse is recomputed in Python ints
-    monkeypatch.setattr(posets, "INT64_SAFE", 1)
+def test_python_int_route_when_the_int64_inverse_is_wrong(monkeypatch):
+    # one entry of the int64 inverse off by 2**63, as after a wrap-around: Z M = I
+    # fails exactly and the inverse is recomputed in Python ints
     rng = random.Random(6)
+    original = posets._inverse_zeta
+
+    def corrupted(leq, dtype):
+        mu = original(leq, dtype)
+        if dtype is np.int64:
+            x, y = rng.randrange(len(leq)), rng.randrange(len(leq))
+            mu[x, y] ^= np.int64(-2**63)
+        return mu
+
+    monkeypatch.setattr(posets, "_inverse_zeta", corrupted)
     for _ in range(50):
         P = random_poset(rng, rng.randrange(1, 10))
         mu = moebius(P)

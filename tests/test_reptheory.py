@@ -35,6 +35,7 @@ from semicat.posets import order_data
 from semicat.reptheory import EIReport, RadicalReport, RegESet
 from semicat.semigroups import FiniteSemigroup
 from test_ehresmann import reference_tilde_relations
+from test_linalg import rational_rank
 from test_semigroups import reference_green
 
 
@@ -275,6 +276,47 @@ def test_radical_oracle_matches_the_dict_route_on_arbitrary_tables(data):
         return {t[i][j]: 1} if mask[i][j] else {}
 
     assert radical_oracle(table, defined) == reference_radical_oracle(n, mul)
+
+
+def stacked_rank_is_full(basis, reg, n):
+    """The radical basis stacked on the unit vectors e_r, r in reg, has full rank."""
+    rows = [list(v) for v in basis] + [[int(c == r) for c in range(n)] for r in reg]
+    return rational_rank(rows) == len(basis) + len(reg)
+
+
+def test_projection_rank_matches_the_stacked_rank_on_arbitrary_tables():
+    # rank [basis; e_reg] is full iff the trace form's reg columns have full column rank
+    outcomes = set()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def check(data):
+        n = data.draw(st.integers(1, 6))
+        cells = st.lists(st.integers(0, n - 1), min_size=n * n, max_size=n * n)
+        table = np.array(data.draw(cells)).reshape(n, n)
+        defined = np.array(data.draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n)))
+        defined = defined.reshape(n, n)
+        reg = sorted(data.draw(st.sets(st.integers(0, n - 1))))
+        t, mask = table.tolist(), defined.tolist()
+        _, basis = reference_radical_oracle(n, lambda i, j: {t[i][j]: 1} if mask[i][j] else {})
+        full = rank(reptheory._trace_form(table, defined)[:, reg].tolist()) == len(reg)
+        assert full == stacked_rank_is_full(basis, reg, n)
+        outcomes.add(full)
+
+    check()
+    assert outcomes == {True, False}
+
+
+def test_projection_full_rank_matches_the_stacked_rank(zoo_members):
+    kinds = set()
+    for es in list(zoo_members.values()) + list(structure_mutants(zoo_members, 44, 72)):
+        got = outcome(semisimple_image_check, es, build_category(es), "r", True)
+        if kind_of(got) == "ok":
+            _, basis = radical_oracle(es.S.table, all_defined(es.n))
+            full = stacked_rank_is_full(basis, reg_e(es).elements, es.n)
+            assert got.projection_full_rank == full
+            kinds.add(full)
+    assert True in kinds
 
 
 def test_radical_oracle_two_element_semilattice():
@@ -616,7 +658,7 @@ def reference_psi_image(es, C, order):
             return False, False
         row = [0] * len(reg.elements)
         for k, v in image.coeffs.items():
-            row[pos[k]] = v
+            row[pos[k]] = int(v)
         psi_rows.append(row)
     return True, rank(psi_rows) == len(reg.elements)
 

@@ -18,7 +18,7 @@ from semicat import (
     to_interchange,
     validate,
 )
-from semicat import zoo
+from semicat import semigroups, zoo
 from semicat.errors import NotAssociativeError, NotClosedError, OutOfRangeError
 from semicat.semigroups import FiniteSemigroup
 
@@ -311,6 +311,14 @@ def test_validate_rows_as_strings_fail_as_the_loop_does():
 def test_interchange_rejects_a_malformed_table_or_n(obj):
     with pytest.raises(ValueError, match="table must be a list of lists|n must be an integer"):
         from_interchange(obj)
+
+
+def test_interchange_rejects_an_oversized_table_before_validating(monkeypatch):
+    # well formed, but 7777 rows would run validate's O(n^3) sweep for hours
+    monkeypatch.setattr(semigroups, "validate", lambda *args: pytest.fail("validated"))
+    with pytest.raises(ValueError, match="7777 elements, above the limit 7776"):
+        from_interchange({"table": [[]] * 7777})
+    assert semigroups.ELEMENTS_MAX == zoo.ELEMENTS_MAX == 7776
 
 
 # --- the read-only array core ----------------------------------------------------

@@ -280,6 +280,16 @@ def test_zoo_specs_above_pt5_size_are_rejected_before_building(monkeypatch, spec
     assert zoo.ELEMENTS_MAX == 7776
 
 
+def test_long_ssl_chains_are_rejected_before_building(monkeypatch):
+    # the chain-compatibility check is O(K^3) Python steps, even for trivial groups
+    monkeypatch.setattr(zoo, "cyclic_group", lambda k: pytest.fail("built a group"))
+    monkeypatch.setattr(zoo, "validate", lambda *args: pytest.fail("built a table"))
+    for k in (65, 7776):
+        with pytest.raises(ValueError, match=f"chain{k} has more than 64 components"):
+            zoo.parse_zoo_spec(f"ssl:chain{k}:" + ",".join(["z1"] * k))
+    assert zoo.CHAIN_MAX == 64
+
+
 def test_every_member_dumps_to_interchange(zoo_members):
     from semicat import from_interchange
 
