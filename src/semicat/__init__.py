@@ -33,7 +33,7 @@ from .ehresmann import (
     order_containment,
     tilde_relations,
 )
-from .posets import FinitePoset, MoebiusCache, invert, moebius, order_poset, sum_down
+from .posets import FinitePoset, invert, moebius, order_poset, sum_down
 from .reports import VerificationReport
 from .reptheory import (
     EIReport,

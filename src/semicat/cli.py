@@ -81,11 +81,18 @@ def _emit(args, payload, passed):
         "passed": passed,
         "result": jsonable(payload),
     }
-    text = json.dumps(body, sort_keys=True, indent=2) + "\n"
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(args.report, body)
     return body
+
+
+def _write(path, obj):
+    """Write obj as sorted, indented JSON; an unwritable path is an input error (exit 2)."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    except OSError as err:
+        raise InputError(f"cannot write {path}: {err}") from err
 
 
 def _run(args):
@@ -99,9 +106,7 @@ def _run(args):
         _emit(args, {"derive_error": str(failure)}, False)
         return 1
     if args.emit_category:
-        with open(args.emit_category, "w", encoding="utf-8") as fh:
-            json.dump(category_to_json(build_category(ES)), fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        _write(args.emit_category, category_to_json(build_category(ES)))
     return args.func(args, ES)
 
 

@@ -1,6 +1,6 @@
-"""Finite posets and Moebius inversion over exact rationals."""
+"""Finite posets, their integer Moebius matrices and exact Moebius inversion."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -37,28 +37,24 @@ class FinitePoset:
     leq: tuple  # leq[x][y] is True iff x <= y
 
     def __post_init__(self):
-        bad = poset_violation(self.leq)
+        # zeta: leq as a read-only bool matrix, the one every method reads; not
+        # a field, so == and hash still read (m, leq)
+        zeta = np.array(self.leq, dtype=bool).reshape(self.m, self.m)
+        zeta.flags.writeable = False
+        bad = poset_violation(zeta)
         if bad is not None:
             raise NotAPosetError(*bad)
+        object.__setattr__(self, "zeta", zeta)
 
     def below(self, x):
-        return [y for y in range(self.m) if self.leq[y][x]]
+        return np.flatnonzero(self.zeta[:, x]).tolist()
 
     def interval(self, x, y):
-        return [z for z in range(self.m) if self.leq[x][z] and self.leq[z][y]]
+        return np.flatnonzero(self.zeta[x] & self.zeta[:, y]).tolist()
 
 
 def poset_from_matrix(leq) -> FinitePoset:
     return FinitePoset(len(leq), tuple(tuple(row.tolist()) for row in np.asarray(leq, dtype=bool)))
-
-
-@dataclass(frozen=True)
-class MoebiusCache:
-    values: dict  # (x, y) with x <= y -> Fraction
-    matrix: np.ndarray = field(repr=False, compare=False)  # mu(x, y) as integers
-
-    def __call__(self, x, y):
-        return self.values[(x, y)]
 
 
 def _inverse_zeta(leq, dtype):
@@ -77,37 +73,34 @@ def _inverse_zeta(leq, dtype):
     return mu
 
 
-def moebius(P) -> MoebiusCache:
-    """Moebius function of a finite poset: the inverse of its zeta matrix.
+def moebius(P) -> np.ndarray:
+    """Moebius matrix of a finite poset, mu[x, y] = mu(x, y): the inverse of its zeta matrix.
 
-    The inverse is computed in int64 and accepted once Z M = I is verified
-    exactly: Z is invertible, so an inverse that wrapped around in int64
-    fails the check.  It is then recomputed in Python ints, where no check is
-    needed.  Values are integers, exposed as exact rationals.
+    Entries with x not <= y are 0.  The inverse is computed in int64 and
+    accepted once Z M = I is verified exactly: Z is invertible, so an inverse
+    that wrapped around in int64 fails the check.  It is then recomputed in
+    Python ints (object dtype), where no check is needed.  The result is
+    read-only.
     """
-    leq = np.array(P.leq, dtype=bool).reshape(P.m, P.m)
-    mu = _inverse_zeta(leq, np.int64)
-    if not (exact_matmul(leq, mu) == np.eye(P.m, dtype=np.int64)).all():
-        mu = _inverse_zeta(leq, object)
-    values = {(int(x), int(y)): Fraction(int(mu[x, y])) for x, y in np.argwhere(leq)}
-    return MoebiusCache(values, mu)
+    mu = _inverse_zeta(P.zeta, np.int64)
+    if not (exact_matmul(P.zeta, mu) == np.eye(P.m, dtype=np.int64)).all():
+        mu = _inverse_zeta(P.zeta, object)
+    mu.flags.writeable = False
+    return mu
 
 
 def sum_down(P, f):
-    """g(x) = sum of f(y) over y <= x."""
-    f = [Fraction(v) for v in f]
-    return [sum((f[y] for y in P.below(x)), Fraction(0)) for x in range(P.m)]
+    """g(x) = sum of f(y) over y <= x, as the exact product f Z."""
+    return (np.array([Fraction(v) for v in f], dtype=object) @ P.zeta).tolist()
 
 
-def invert(P, g, cache=None):
-    """Moebius inversion: recover f with f(x) = sum of mu(y, x) g(y) over y <= x."""
-    if cache is None:
-        cache = moebius(P)
-    g = [Fraction(v) for v in g]
-    return [
-        sum((cache(y, x) * g[y] for y in P.below(x)), Fraction(0))
-        for x in range(P.m)
-    ]
+def invert(P, g, mu=None):
+    """Moebius inversion: f(x) = sum of mu(y, x) g(y) over y <= x, as the exact product g M.
+
+    `mu` is the matrix moebius(P) returns, computed when not given.
+    """
+    mu = moebius(P) if mu is None else mu
+    return (np.array([Fraction(v) for v in g], dtype=object) @ mu).tolist()
 
 
 def natural_order(structure, order="r"):
@@ -128,12 +121,6 @@ def order_data(structure, order="r") -> np.ndarray:
     Its column x holds the coefficients of psi(x), as the column x of the
     order matrix holds those of phi(x).  The result is kept in the structure's
     instance dictionary (a frozen dataclass still has one), so later calls for
-    the same structure and order read the same read-only copy.
+    the same structure and order read the same read-only matrix.
     """
-    return kept(structure, f"_moebius_{order}", _order_moebius, order)
-
-
-def _order_moebius(structure, order):
-    mu = moebius(order_poset(structure, order)).matrix
-    mu.flags.writeable = False
-    return mu
+    return kept(structure, f"_moebius_{order}", lambda s: moebius(order_poset(s, order)))

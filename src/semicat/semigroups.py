@@ -62,6 +62,7 @@ def validate(table, names=None) -> FiniteSemigroup:
     `table` is a list of rows or a square integer array.  Raises ValueError
     (empty table, a row of the wrong length, a non-integer entry) or
     OutOfRangeError for the first bad row or entry in row-major order, then
+    ValueError for names of the wrong length (before the O(n^3) sweep), then
     NotAssociativeError with the lexicographically first failing triple;
     otherwise returns the validated semigroup, which keeps the result of its
     associativity sweep (see associativity_failure).
@@ -89,13 +90,13 @@ def validate(table, names=None) -> FiniteSemigroup:
         raise OutOfRangeError(i, j, rows[i][j], n)
     if m < n:
         _raise_row_error(row, m, n)
-    bad = associativity_witness(t)
-    if bad:
-        raise NotAssociativeError(bad["x"], bad["y"], bad["z"])
     if names is not None:
         names = tuple(str(x) for x in names)
         if len(names) != n:
             raise ValueError("names length does not match table size")
+    bad = associativity_witness(t)
+    if bad:
+        raise NotAssociativeError(bad["x"], bad["y"], bad["z"])
     t.flags.writeable = False  # t is a fresh copy, so the semigroup can keep it as it is
     S = FiniteSemigroup(n, t, names)
     vars(S)["_associativity_failure"] = None
@@ -289,7 +290,10 @@ def to_interchange(S, E=None) -> dict:
 
 
 def from_interchange(obj):
-    """Parse and validate the interchange object; returns (semigroup, E or None)."""
+    """Parse and validate the interchange object; returns (semigroup, E or None).
+
+    Every field, E's range included, is checked before validate's O(n^3) sweep.
+    """
     if not isinstance(obj, dict) or "table" not in obj:
         raise ValueError("interchange object must be a dict with a 'table' field")
     table = obj["table"]
@@ -305,11 +309,10 @@ def from_interchange(obj):
     names, E = obj.get("names"), obj.get("E")
     if names is not None and not isinstance(names, list):
         raise ValueError("names must be a list")
-    if E is not None and not (isinstance(E, list) and all(_is_index_type(type(e)) for e in E)):
-        raise ValueError("E must be a list of integer indices")
-    S = validate(table, names)
     if E is not None:
+        if not (isinstance(E, list) and all(_is_index_type(type(e)) for e in E)):
+            raise ValueError("E must be a list of integer indices")
         E = tuple(sorted({int(e) for e in E}))
-        if any(not 0 <= e < S.n for e in E):
+        if any(not 0 <= e < n for e in E):
             raise ValueError("E contains out-of-range indices")
-    return S, E
+    return validate(table, names), E

@@ -200,7 +200,7 @@ def cyclic_group(k) -> FiniteSemigroup:
     if not 1 <= k <= ELEMENTS_MAX:
         raise ValueError(f"cyclic_group supports 1 <= k <= {ELEMENTS_MAX}")
     names = tuple(f"g{i}" for i in range(k))
-    return validate([[(i + j) % k for j in range(k)] for i in range(k)], names)
+    return validate((np.arange(k)[:, None] + np.arange(k)) % k, names)
 
 
 def six_element_example() -> EhresmannStructure:

@@ -135,7 +135,7 @@ def test_criterion_6_moebius_property_suite():
         for x in range(P.m):
             for y in range(P.m):
                 if P.leq[x][y] and x != y:
-                    ok = ok and sum(mu(x, z) for z in P.interval(x, y)) == 0
+                    ok = ok and sum(mu[x, z] for z in P.interval(x, y)) == 0
         f = [Fraction(rng.randrange(-30, 30), rng.randrange(1, 7)) for _ in range(P.m)]
         ok = ok and invert(P, sum_down(P, f)) == f
     report(6, ok, "recursion identity and inversion exact on 200 random posets")

@@ -56,6 +56,15 @@ def test_check_unreadable_and_malformed_inputs(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("flag", ["--report", "--emit-category"])
+def test_unwritable_output_path_is_input_error(tmp_path, capsys, flag):
+    path = tmp_path / "missing" / "out.json"
+    code, _, err = run(capsys, "check", "--zoo", "six", flag, str(path))
+    assert code == 2
+    assert f"cannot write {path}" in err
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("field,value", [
     ("E", "01"), ("E", ["0", 1.9]), ("E", [True, 1]), ("names", "ab"),
 ])

@@ -59,16 +59,31 @@ def random_poset(rng, m):
 
 
 def reference_moebius(P):
-    """mu(x, x) = 1 and mu(x, y) = -sum of mu(x, z) over x <= z < y, by interval size."""
-    values = {}
+    """mu(x, x) = 1 and mu(x, y) = -sum of mu(x, z) over x <= z < y, by interval size.
+
+    Returned as rows of Python ints, 0 where x is not <= y.
+    """
+    values = [[0] * P.m for _ in range(P.m)]
     for x in range(P.m):
         above = [y for y in range(P.m) if P.leq[x][y]]
         above.sort(key=lambda y: (len(P.interval(x, y)), y))
         for y in above:
-            values[(x, y)] = 1 if y == x else -sum(
-                values[(x, z)] for z in P.interval(x, y) if z != y
+            values[x][y] = 1 if y == x else -sum(
+                values[x][z] for z in P.interval(x, y) if z != y
             )
     return values
+
+
+def reference_sum_down(P, f):
+    """g(x) = sum of f(y) over y <= x, one element at a time."""
+    f = [Fraction(v) for v in f]
+    return [sum((f[y] for y in P.below(x)), Fraction(0)) for x in range(P.m)]
+
+
+def reference_invert(P, g, mu):
+    """f(x) = sum of mu(y, x) g(y) over y <= x, one element at a time."""
+    g = [Fraction(v) for v in g]
+    return [sum((mu[y][x] * g[y] for y in P.below(x)), Fraction(0)) for x in range(P.m)]
 
 
 def test_poset_rejects_non_reflexive():
@@ -96,12 +111,12 @@ def test_moebius_diagonal_is_one():
     P = random_poset(random.Random(1), 7)
     mu = moebius(P)
     for x in range(P.m):
-        assert mu(x, x) == 1
+        assert mu[x, x] == 1
 
 
 def test_moebius_two_chain():
     mu = moebius(chain(2))
-    assert mu(0, 1) == -1
+    assert mu[0, 1] == -1
 
 
 def test_moebius_boolean_lattice_closed_form():
@@ -111,7 +126,7 @@ def test_moebius_boolean_lattice_closed_form():
     for a in range(P.m):
         for b in range(P.m):
             if (a & b) == a:
-                assert mu(a, b) == (-1) ** (b & ~a).bit_count()
+                assert mu[a, b] == (-1) ** (b & ~a).bit_count()
 
 
 def test_moebius_recursion_and_integrality_on_random_posets():
@@ -119,9 +134,9 @@ def test_moebius_recursion_and_integrality_on_random_posets():
     for _ in range(200):
         P = random_poset(rng, rng.randrange(1, 9))
         mu = moebius(P)
-        for (x, y), v in mu.values.items():
-            assert v.denominator == 1
-            total = sum(mu(x, z) for z in P.interval(x, y))
+        assert mu.dtype == np.int64
+        for x, y in np.argwhere(P.zeta).tolist():
+            total = sum(mu[x, z] for z in P.interval(x, y))
             assert total == (1 if x == y else 0)
 
 
@@ -130,8 +145,8 @@ def test_zeta_inverse_matches_interval_recursion_on_random_posets():
     for _ in range(200):
         P = random_poset(rng, rng.randrange(0, 12))
         mu = moebius(P)
-        assert mu.values == reference_moebius(P)
-        assert all(isinstance(v, Fraction) for v in mu.values.values())
+        assert mu.tolist() == reference_moebius(P)
+        assert mu.dtype == np.int64
 
 
 def test_python_int_route_when_the_int64_inverse_is_wrong(monkeypatch):
@@ -151,8 +166,52 @@ def test_python_int_route_when_the_int64_inverse_is_wrong(monkeypatch):
     for _ in range(50):
         P = random_poset(rng, rng.randrange(1, 10))
         mu = moebius(P)
-        assert mu.matrix.dtype == object
-        assert mu.values == reference_moebius(P)
+        assert mu.dtype == object
+        assert mu.tolist() == reference_moebius(P)
+
+
+def test_sum_down_and_invert_match_the_loops_on_random_posets():
+    rng = random.Random(31)
+    for _ in range(200):
+        P = random_poset(rng, rng.randrange(0, 10))
+        f = [Fraction(rng.randrange(-20, 20), rng.randrange(1, 9)) for _ in range(P.m)]
+        assert sum_down(P, f) == reference_sum_down(P, f)
+        mu = moebius(P)
+        assert invert(P, f) == invert(P, f, mu) == reference_invert(P, f, mu.tolist())
+        assert all(type(v) is Fraction for v in sum_down(P, f) + invert(P, f))
+
+
+def test_invert_reads_the_python_int_moebius_matrix(monkeypatch):
+    # the object-dtype route: entries beyond int64 stay exact in the product
+    rng = random.Random(32)
+    original = posets._inverse_zeta
+    monkeypatch.setattr(posets, "_inverse_zeta",
+                        lambda leq, dtype: original(leq, object if dtype is np.int64 else dtype))
+    for _ in range(50):
+        P = random_poset(rng, rng.randrange(1, 10))
+        mu = moebius(P)
+        assert mu.dtype == object
+        big = mu * (2**70 + 1)  # entries beyond int64
+        g = [Fraction(rng.randrange(-20, 20), rng.randrange(1, 9)) for _ in range(P.m)]
+        assert invert(P, g, mu) == reference_invert(P, g, mu.tolist())
+        assert invert(P, g, big) == reference_invert(P, g, big.tolist())
+        assert invert(P, sum_down(P, g), mu) == g
+
+
+def test_zeta_moebius_and_order_data_are_read_only(pt2):
+    P = random_poset(random.Random(33), 6)
+    for matrix in (P.zeta, moebius(P), posets.order_data(pt2, "r"), posets.order_data(pt2, "l")):
+        assert not matrix.flags.writeable
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 0
+    assert P.zeta.dtype == bool
+    assert P.zeta.tolist() == [list(row) for row in P.leq]
+
+
+def test_poset_equality_and_hash_read_m_and_leq():
+    P, Q = chain(4), poset_from_matrix(np.array(chain(4).leq))
+    assert P == Q and hash(P) == hash(Q)
+    assert P != antichain(4)
 
 
 def test_order_data_is_computed_once_per_structure_and_order(monkeypatch):

@@ -228,6 +228,18 @@ def test_interchange_rejects_malformed_e_and_names(pt2, field, value):
         from_interchange(obj)
 
 
+def test_malformed_names_and_e_are_rejected_before_the_associativity_sweep(pt2, monkeypatch):
+    monkeypatch.setattr(semigroups, "associativity_witness",
+                        lambda t: pytest.fail("swept the table"))
+    with pytest.raises(ValueError, match="names length"):
+        validate(pt2.S.table, list("ab"))
+    for field, value in (("names", list("ab")), ("E", [0, pt2.n]), ("E", [-1])):
+        obj = to_interchange(pt2.S, pt2.E)
+        obj[field] = value
+        with pytest.raises(ValueError, match="names length" if field == "names" else "E"):
+            from_interchange(obj)
+
+
 # --- validate against the per-entry loop ---------------------------------------
 
 
@@ -244,16 +256,16 @@ def reference_validate(table, names=None):
                 raise ValueError(f"table[{i}][{j}] is not an integer")
             if not 0 <= entry < n:
                 raise OutOfRangeError(i, j, entry, n)
+    if names is not None:
+        names = tuple(str(x) for x in names)
+        if len(names) != n:
+            raise ValueError("names length does not match table size")
     t = np.asarray(table, dtype=np.int64)
     for i in range(n):
         left, right = t[t[i]], t[i][t]
         if not np.array_equal(left, right):
             j, k = np.argwhere(left != right)[0]
             raise NotAssociativeError(i, int(j), int(k))
-    if names is not None:
-        names = tuple(str(x) for x in names)
-        if len(names) != n:
-            raise ValueError("names length does not match table size")
     return tuple(tuple(int(x) for x in row) for row in table), names
 
 

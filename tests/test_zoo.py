@@ -280,6 +280,13 @@ def test_zoo_specs_above_pt5_size_are_rejected_before_building(monkeypatch, spec
     assert zoo.ELEMENTS_MAX == 7776
 
 
+def test_cyclic_group_table_is_addition_mod_k():
+    for k in (1, 2, 5, 12):
+        Z = zoo.cyclic_group(k)
+        assert Z.table.tolist() == [[(i + j) % k for j in range(k)] for i in range(k)]
+        assert Z.names == tuple(f"g{i}" for i in range(k))
+
+
 def test_long_ssl_chains_are_rejected_before_building(monkeypatch):
     # the chain-compatibility check is O(K^3) Python steps, even for trivial groups
     monkeypatch.setattr(zoo, "cyclic_group", lambda k: pytest.fail("built a group"))
