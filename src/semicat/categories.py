@@ -161,10 +161,13 @@ def verify_axioms(C) -> VerificationReport:
 
 def _meets(C, left, right):
     """C.meet[(left[i], right[j])] as an array; KeyError for a pair C.meet lacks."""
-    meet = np.full((C.n, C.n), -1, dtype=np.int64)
-    for (e, f), m in C.meet.items():
-        meet[e, f] = m
-    out = meet[left[:, None], right]
+    keys = np.array(list(C.meet), dtype=np.int64).reshape(-1, 2)
+    k = np.flatnonzero(np.bincount(keys.ravel(), minlength=C.n))  # the elements in the keys
+    at = np.full(C.n, len(k))  # row/column of each element; len(k), holding no meet, outside k
+    at[k] = np.arange(len(k))
+    meet = np.full((len(k) + 1, len(k) + 1), -1, dtype=np.int64)
+    meet[at[keys[:, 0]], at[keys[:, 1]]] = list(C.meet.values())
+    out = meet[at[left][:, None], at[right]]
     missing = first_witness(out < 0, ("e", "f"), e=left, f=right)
     if missing:
         raise KeyError((missing["e"], missing["f"]))

@@ -7,6 +7,7 @@ a fixed configuration: keys are sorted and nothing time-dependent is embedded.
 
 import argparse
 import json
+import os
 import sys
 
 from . import __version__
@@ -20,10 +21,10 @@ from .ehresmann import (
     maximal_subsemilattices,
     order_containment,
 )
-from .errors import SemicatError
+from .errors import NotSubsemilatticeError, SemicatError
 from .reports import jsonable
 from .reptheory import ei_report, radical_span, semisimple_image_check
-from .semigroups import from_interchange, subsemilattice_violation
+from .semigroups import from_interchange
 from .zoo import parse_zoo_spec
 
 SCHEMA_VERSION = 1
@@ -59,10 +60,10 @@ def _load(args):
         raise InputError(
             f"input has no E field; choose one of the maximal subsemilattices: {listing}"
         )
-    if subsemilattice_violation(S, E) is not None:
-        raise InputError("declared E is not a subsemilattice")
     try:
         return derive_structure(S, E), None
+    except NotSubsemilatticeError as err:
+        raise InputError("declared E is not a subsemilattice") from err
     except SemicatError as err:
         # not Ehresmann: a verified failure, not an input error
         return None, err
@@ -100,6 +101,9 @@ def _run(args):
 
     An input that is not Ehresmann is reported as a verified failure (exit 1).
     """
+    for path in filter(None, (args.report, args.emit_category)):
+        if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+            raise InputError(f"cannot write {path}: a directory, or its directory is missing")
     ES, failure = _load(args)
     if ES is None:
         _status(False, "ehresmann-structure", str(failure))
@@ -191,10 +195,9 @@ def cmd_iso(args, ES):
 
 
 def cmd_rep(args, ES):
-    C = build_category(ES)
-    ei = ei_report(ES, C)
+    ei = ei_report(ES)
     # computes Reg_E and the radical of QS once for the whole report
-    semi = semisimple_image_check(ES, C, order=args.order, allow_outside_theorem=True)
+    semi = semisimple_image_check(ES, order=args.order, allow_outside_theorem=True)
     payload = {
         "reg_e_size": semi.reg_size,
         "is_EI": ei.is_ei,
@@ -207,7 +210,7 @@ def cmd_rep(args, ES):
     print(f"INFO  radical_dim(QS) = {semi.radical_dim_s}")
 
     if ei.is_ei:
-        rad = radical_span(ES, C)
+        rad = radical_span(ES)
         payload["radical_span"] = rad.to_json()
         payload["radical_dim_category"] = rad.oracle_dim
         passed = passed and rad.passed

@@ -11,8 +11,10 @@ accepted only with an exact certificate:
   each with a 1 at its free column and supported on earlier pivot columns
   only, are the canonical basis that rational elimination returns.
 
-Only if reconstruction or the check fails does the kernel come from Fraction
-elimination (`rational_nullspace`, also the tests' reference).  Pivoting is
+The vectors stay integer rows: `rank` counts them, and only `nullspace`
+divides them out into Fraction tuples.  Only if reconstruction or the
+check fails does the kernel come from Fraction elimination
+(`rational_nullspace`, also the tests' reference).  Pivoting is
 deterministic (first nonzero by index) so downstream reports are byte-stable.
 """
 
@@ -124,39 +126,30 @@ def _reconstruct(x, p):
 
 
 def _kernel(a):
-    """Canonical kernel basis of integer array `a`: certified mod p, else by Fraction elimination."""
+    """Certified kernel of `a`: (den, w) per free column, w / den canonical; None to fall back."""
     p = PRIME
     ncols = a.shape[1]
     form, pivots = _rref_mod_p(a, p)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
+    free = np.delete(np.arange(ncols), pivots)
     residues = (-form[: len(pivots)][:, free]) % p
     bound = math.isqrt(p // 2)
-    vectors, scaled = [], []
+    vectors = []
     for j, fc in enumerate(free):
         entries = {fc: 1}
         for r in np.flatnonzero(residues[:, j]):
             x = int(residues[r, j])
             value = x if x <= bound else x - p if p - x <= bound else _reconstruct(x, p)
             if value is None:
-                return rational_nullspace(a.tolist())
+                return None
             entries[pivots[r]] = value
         den = math.lcm(*(v.denominator for v in entries.values()))
         w = [0] * ncols
         for c, v in entries.items():
             w[c] = int(v * den)
-        vectors.append(entries)
-        scaled.append(w)
-    if scaled and exact_matmul(a, _integer_array(scaled).T).any():
-        return rational_nullspace(a.tolist())
-    zero = Fraction(0)
-    basis = []
-    for entries in vectors:
-        vec = [zero] * ncols
-        for c, v in entries.items():
-            vec[c] = Fraction(v)
-        basis.append(tuple(vec))
-    return basis
+        vectors.append((den, w))
+    if vectors and exact_matmul(a, _integer_array([w for _, w in vectors]).T).any():
+        return None
+    return vectors
 
 
 def rational_nullspace(matrix):
@@ -181,9 +174,14 @@ def rational_nullspace(matrix):
 def rank(matrix) -> int:
     """Rank of an integer matrix given as rows: ncols minus the kernel's dimension."""
     a = _integer_array(matrix)
-    return a.shape[1] - len(_kernel(a))
+    kernel = _kernel(a)
+    return a.shape[1] - len(rational_nullspace(a.tolist()) if kernel is None else kernel)
 
 
 def nullspace(matrix):
     """Basis of {x : A x = 0} for an integer matrix A given as rows; vectors are Fraction tuples."""
-    return _kernel(_integer_array(matrix))
+    a = _integer_array(matrix)
+    kernel = _kernel(a)
+    if kernel is None:
+        return rational_nullspace(a.tolist())
+    return [tuple(Fraction(x, den) for x in w) for den, w in kernel]

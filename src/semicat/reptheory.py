@@ -20,13 +20,13 @@ from .errors import (
     PreconditionNotMetError,
 )
 from .ehresmann import is_left_restriction, is_right_restriction, tilde_relations
-from .linalg import nullspace, rank
+from .linalg import rank
 from .posets import order_data
 from .reports import first_witness, jsonable
 from .semigroups import green, kept
 
 
-def invertible_morphisms(ES, C) -> tuple:
+def invertible_morphisms(ES) -> tuple:
     """Morphisms with a two-sided inverse: exactly {a : a+ R a and a L a*}.
 
     Both the Green-relation characterization and a brute-force inverse search
@@ -66,9 +66,7 @@ def reg_e(ES) -> RegESet:
     that the subset is a down ideal for both natural orders.  Violations raise
     loudly since they would contradict verified structure.
     """
-    from .categories import build_category
-
-    elems = invertible_morphisms(ES, build_category(ES))
+    elems = invertible_morphisms(ES)
     t, a = ES.S.table, np.array(elems, dtype=np.int64)
     in_reg = np.zeros(ES.n, dtype=bool)
     in_reg[a] = True
@@ -126,7 +124,7 @@ class EIReport:
         }
 
 
-def ei_report(ES, C) -> EIReport:
+def ei_report(ES) -> EIReport:
     """EI status plus the related classifications of the object semilattice.
 
     A category is EI iff every endomorphism monoid is a group; here that is
@@ -134,10 +132,10 @@ def ei_report(ES, C) -> EIReport:
     Both routes are computed and compared.  The result depends on ES alone
     and is kept in its instance dictionary.
     """
-    return kept(ES, "_ei_report", _ei_report, C)
+    return kept(ES, "_ei_report", _ei_report)
 
 
-def _ei_report(ES, C):
+def _ei_report(ES):
     g = green(ES.S)
     tilde = tilde_relations(ES.S, ES.E)
     n, t, p, s = ES.n, ES.S.table, ES.plus, ES.star
@@ -179,12 +177,12 @@ def _ei_report(ES, C):
         e_is_maximal_semilattice=maximal_witness is None,
         maximal_witness=maximal_witness,
         object_iso_classes=iso_classes,
-        is_groupoid=len(invertible_morphisms(ES, C)) == n,
+        is_groupoid=len(invertible_morphisms(ES)) == n,
     )
 
 
-def is_ei(ES, C):
-    rep = ei_report(ES, C)
+def is_ei(ES):
+    rep = ei_report(ES)
     return rep.is_ei, rep.witness
 
 
@@ -198,10 +196,9 @@ def radical_oracle(table, defined):
     the regular representation, T[i, j] = trace(L(b_i b_j)), is fix[table]
     where defined and 0 elsewhere.  The equations are the columns of T and
     the plain trace row fix (needed when the algebra has no unit); returns
-    (dimension, basis) of their exact nullspace.
+    the dimension of their solution space, len(table) minus their exact rank.
     """
-    basis = nullspace(_trace_form(table, defined).tolist())
-    return len(basis), basis
+    return len(table) - rank(_trace_form(table, defined).tolist())
 
 
 def _trace_form(table, defined):
@@ -234,7 +231,7 @@ class RadicalReport:
         }
 
 
-def radical_span(ES, C) -> RadicalReport:
+def radical_span(ES) -> RadicalReport:
     """Non-invertible morphisms as a basis of the category-algebra radical.
 
     Requires an EI category.  The claimed dimension is checked against the
@@ -242,12 +239,11 @@ def radical_span(ES, C) -> RadicalReport:
     ideal: products of basis morphisms are again basis morphisms or zero, so
     ideal powers stay spanned by morphism subsets and can be closed exactly.
     """
-    ei, witness = is_ei(ES, C)
+    ei, witness = is_ei(ES)
     if not ei:
         raise NotEIError(witness)
-    n, t, dom, cod = C.n, C.table, C.dom, C.cod
-    invertible = np.zeros(n, dtype=bool)
-    invertible[list(invertible_morphisms(ES, C))] = True
+    n, t, dom, cod = ES.n, ES.S.table, ES.plus, ES.star
+    invertible = np.isin(np.arange(n), invertible_morphisms(ES))
     x = np.flatnonzero(~invertible)
     noninv = tuple(x.tolist())
 
@@ -271,7 +267,7 @@ def radical_span(ES, C) -> RadicalReport:
         if index > n + 1:
             raise InconsistentComputationError("radical nilpotency", {"stalled_at": index})
 
-    oracle_dim, _ = radical_oracle(t, cod[:, None] == dom)
+    oracle_dim = radical_oracle(t, cod[:, None] == dom)
     return RadicalReport(
         noninvertible=noninv,
         claimed_dim=len(noninv),
@@ -316,7 +312,7 @@ class SemisimpleReport:
         }
 
 
-def semisimple_image_check(ES, C, order="r", allow_outside_theorem=False) -> SemisimpleReport:
+def semisimple_image_check(ES, order="r", allow_outside_theorem=False) -> SemisimpleReport:
     """Verify that the span of Reg_E(S) realizes the maximal semisimple image.
 
     Checks, over the rationals: (i) dim Rad(QS) = |S| - |Reg_E(S)|; (ii) the
@@ -329,7 +325,7 @@ def semisimple_image_check(ES, C, order="r", allow_outside_theorem=False) -> Sem
     """
     left, _ = is_left_restriction(ES)
     right, _ = is_right_restriction(ES)
-    ei, ei_witness = is_ei(ES, C)
+    ei, _ = is_ei(ES)
     unmet = []
     if not (left or right):
         unmet.append("left or right restriction")
@@ -338,22 +334,20 @@ def semisimple_image_check(ES, C, order="r", allow_outside_theorem=False) -> Sem
     if unmet and not allow_outside_theorem:
         raise PreconditionNotMetError(", ".join(unmet))
 
-    reg = reg_e(ES)
+    reg = list(reg_e(ES).elements)  # the invertible morphisms
     n = ES.n
     everywhere = np.ones((n, n), dtype=bool)
-    rad_dim, _ = radical_oracle(ES.S.table, everywhere)
-    dims_match = rad_dim == n - len(reg.elements)
+    rad_dim = radical_oracle(ES.S.table, everywhere)
+    dims_match = rad_dim == n - len(reg)
 
     # the radical meets span{e_r : r in Reg_E} only in 0 iff those columns have full rank
-    equations = _trace_form(ES.S.table, everywhere)[:, list(reg.elements)]
-    projection_full_rank = rank(equations.tolist()) == len(reg.elements)
+    equations = _trace_form(ES.S.table, everywhere)[:, reg]
+    projection_full_rank = rank(equations.tolist()) == len(reg)
 
     # column x of the Moebius matrix holds the coefficients of psi(x)
-    images = order_data(ES, order)[:, list(invertible_morphisms(ES, C))]
-    in_reg = np.zeros(n, dtype=bool)
-    in_reg[list(reg.elements)] = True
-    in_span = not images[~in_reg].any()
-    psi_full_rank = in_span and rank(images[in_reg].tolist()) == len(reg.elements)
+    images = order_data(ES, order)[:, reg]
+    in_span = not np.delete(images, reg, axis=0).any()
+    psi_full_rank = in_span and rank(images[reg].tolist()) == len(reg)
 
     all_ok = dims_match and projection_full_rank and in_span and psi_full_rank
     return SemisimpleReport(
@@ -361,7 +355,7 @@ def semisimple_image_check(ES, C, order="r", allow_outside_theorem=False) -> Sem
         right_restriction=right,
         is_ei=ei,
         outside_theorem=bool(unmet),
-        reg_size=len(reg.elements),
+        reg_size=len(reg),
         radical_dim_s=rad_dim,
         dims_match=dims_match,
         projection_full_rank=projection_full_rank,

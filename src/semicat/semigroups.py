@@ -29,11 +29,11 @@ def freeze_fields(obj, **dtypes):
         object.__setattr__(obj, name, value)
 
 
-def kept(obj, key, compute, *args):
-    """compute(obj, *args), computed once per object and kept in its instance dictionary."""
+def kept(obj, key, compute):
+    """compute(obj), computed once per object and kept in its instance dictionary."""
     cache = vars(obj)
     if key not in cache:
-        cache[key] = compute(obj, *args)
+        cache[key] = compute(obj)
     return cache[key]
 
 

@@ -455,6 +455,18 @@ def test_rebuild_rejects_an_end_outside_the_objects_as_the_loop_does(pt2):
     assert got.value.args == expect.value.args
 
 
+def test_a_meet_missing_from_the_category_is_a_key_error(zoo_members):
+    # verify_axioms names the first missing object pair in row-major order
+    rng = random.Random(45)
+    for name, es in zoo_members.items():
+        C = build_category(es)
+        gone = sorted(rng.sample(list(C.meet), min(2, len(C.meet))))
+        bad = dataclasses.replace(C, meet={k: v for k, v in C.meet.items() if k not in gone})
+        with pytest.raises(KeyError) as got:
+            verify_axioms(bad)
+        assert got.value.args == (gone[0],), name
+
+
 def test_stored_arrays_are_read_only(pt2):
     C = build_category(pt2)
     arrays = {"S.table": pt2.S.table, "ES.plus": pt2.plus, "ES.leq_r": pt2.leq_r,

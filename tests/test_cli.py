@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from semicat import categories, reptheory, semigroups, to_interchange
+from semicat import categories, cli, reptheory, semigroups, to_interchange
 from semicat import zoo
 from semicat.cli import main
 from semicat.reports import jsonable
@@ -65,6 +65,21 @@ def test_unwritable_output_path_is_input_error(tmp_path, capsys, flag):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("flag", ["--report", "--emit-category"])
+@pytest.mark.parametrize("where", ["missing-parent", "directory"])
+def test_unwritable_output_path_fails_before_the_input_is_loaded(
+        tmp_path, capsys, monkeypatch, flag, where):
+    # no PASS line and no computation precede the error
+    loaded = []
+    monkeypatch.setattr(cli, "parse_zoo_spec", loaded.append)
+    path = tmp_path / "missing" / "r.json" if where == "missing-parent" else tmp_path
+    code, out, err = run(capsys, "rep", "--zoo", "pt:4", flag, str(path))
+    assert (code, out) == (2, "")
+    assert f"cannot write {path}: " in err
+    assert loaded == []
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("field,value", [
     ("E", "01"), ("E", ["0", 1.9]), ("E", [True, 1]), ("names", "ab"),
 ])
@@ -101,6 +116,19 @@ def test_check_without_e_lists_maximal_subsemilattices(tmp_path, capsys):
     assert code == 2
     assert "maximal subsemilattices" in err
     assert str(list(pt2.E)) in err
+
+
+@pytest.mark.parametrize("table,E", [
+    ([[0, 1], [1, 0]], [1]),                          # 1 is not idempotent in Z_2
+    ([[0, 0], [1, 1]], [0, 1]),                       # left zeros: 01 = 0, 10 = 1
+    ([[0, 2, 2], [2, 1, 2], [2, 2, 2]], [0, 1]),      # 01 = 2 is outside E
+])
+def test_check_e_that_is_not_a_subsemilattice_is_input_error(tmp_path, capsys, table, E):
+    path = tmp_path / "e.json"
+    path.write_text(json.dumps({"n": len(table), "table": table, "E": E}))
+    code, out, err = run(capsys, "check", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert "declared E is not a subsemilattice" in err
 
 
 def test_check_non_ehresmann_input_fails_with_certificate(tmp_path, capsys):
@@ -278,17 +306,22 @@ def test_traced_benchmark_operations_record_their_spans(tmp_path):
     # the benchmark's op.py wraps public functions from outside: it hashes the
     # poset moebius receives and reads rank/nullspace arguments as row lists
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    b2 = zoo.b_n(2)
+    (tmp_path / "b2.json").write_text(json.dumps(to_interchange(b2.S, b2.E)))
     spans = {}
-    for argv, code in ((["rep", "--zoo", "pt:2"], 0), (["iso", "--zoo", "b:2"], 1)):
-        trace = tmp_path / f"{argv[0]}.json"
+    for argv, code in ((["rep", "--zoo", "pt:2"], 0), (["iso", "--zoo", "b:2"], 1),
+                       (["check", "--zoo", "six"], 0), (["check", "--input", "b2.json"], 0)):
+        trace = tmp_path / f"{argv[0]}-{argv[2]}.json"
         done = subprocess.run(
             [sys.executable, os.path.join(root, "perfbench", "op.py"), "--trace", str(trace),
              "--", *argv], cwd=tmp_path, capture_output=True, text=True, timeout=120)
         assert done.returncode == code, done.stderr
-        spans[argv[0]] = {span[0] for span in json.loads(trace.read_text())["spans"]}
-    assert spans["rep"] >= {"reptheory.radical_oracle", "linalg.nullspace", "linalg.rank",
-                            "posets.moebius"}
-    assert "posets.moebius" in spans["iso"]
+        spans[argv[2]] = {span[0] for span in json.loads(trace.read_text())["spans"]}
+    assert spans["pt:2"] >= {"reptheory.radical_oracle", "linalg.rank", "posets.moebius"}
+    assert "posets.moebius" in spans["b:2"]
+    checked = {"categories.verify_axioms", "ehresmann.check_variety"}
+    assert spans["six"] >= checked
+    assert spans["b2.json"] >= checked | {"semigroups.from_interchange"}
 
 
 def test_oversized_zoo_spec_is_an_input_error(capsys):
@@ -323,13 +356,18 @@ def test_check_sweeps_associativity_once(monkeypatch, capsys):
     assert calls == [192]
 
 
-def test_rep_builds_the_category_and_ei_report_once(monkeypatch, capsys):
+def test_rep_builds_the_category_and_ei_report_once(monkeypatch, capsys, tmp_path):
+    # rep reads the structure alone: only --emit-category builds the category
     calls = []
     ei, post_init = reptheory._ei_report, categories.EhresmannCategory.__post_init__
-    monkeypatch.setattr(reptheory, "_ei_report", lambda ES, C: calls.append("ei") or ei(ES, C))
+    monkeypatch.setattr(reptheory, "_ei_report", lambda ES: calls.append("ei") or ei(ES))
     monkeypatch.setattr(categories.EhresmannCategory, "__post_init__",
                         lambda C: calls.append("category") or post_init(C))
     code, _, _ = run(capsys, "rep", "--zoo", "op:3")
+    assert code == 0
+    assert calls == ["ei"]
+    calls.clear()
+    code, _, _ = run(capsys, "rep", "--zoo", "op:3", "--emit-category", str(tmp_path / "c.json"))
     assert code == 0
     assert sorted(calls) == ["category", "ei"]
 

@@ -7,7 +7,6 @@ import pytest
 from semicat import (
     FinitePoset,
     basis_element,
-    build_category,
     invert,
     moebius,
     order_poset,
@@ -216,14 +215,13 @@ def test_poset_equality_and_hash_read_m_and_leq():
 
 def test_order_data_is_computed_once_per_structure_and_order(monkeypatch):
     es = zoo.pt_n(2)
-    C = build_category(es)
     calls = []
     original = posets.moebius
     monkeypatch.setattr(posets, "moebius", lambda P: calls.append(P) or original(P))
     for x in range(es.n):
-        psi(es, C, basis_element("category", x))
+        psi(es, basis_element("category", x))
     verify_isomorphism(es)
-    semisimple_image_check(es, C)
+    semisimple_image_check(es)
     assert len(calls) == 1
     verify_isomorphism(es, order="l")
     assert len(calls) == 2

@@ -103,7 +103,7 @@ def test_six_element_classes_meet_e_once(six):
 def test_six_element_category_matches_drawing(six):
     C = build_category(six)
     assert len(C.objects) == 3
-    rep = ei_report(six, C)
+    rep = ei_report(six)
     assert rep.is_ei
     non_identity = [a for a in range(6) if a not in six.E]
     assert len(non_identity) == 3
@@ -239,7 +239,7 @@ def test_order_preserving_pt3_is_closed_and_left_restriction(op3):
     assert op3.n == 38
     assert is_left_restriction(op3)[0]
     assert not is_right_restriction(op3)[0]
-    assert ei_report(op3, build_category(op3)).is_ei
+    assert ei_report(op3).is_ei
 
 
 def test_order_preserving_rejects_nothing_on_one_point():
@@ -314,7 +314,7 @@ def test_classification_golden_table(zoo_members):
             "ehresmann": True,  # construction would have raised otherwise
             "left_restriction": is_left_restriction(es)[0],
             "right_restriction": is_right_restriction(es)[0],
-            "ei": ei_report(es, build_category(es)).is_ei,
+            "ei": ei_report(es).is_ei,
             "inverse": is_inverse(es.S),
         }
         assert got == expected, key
