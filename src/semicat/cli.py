@@ -10,22 +10,9 @@ import json
 import os
 import sys
 
-from . import __version__
-from .algebras import element, format_element, verify_isomorphism
-from .categories import build_category, category_to_json, verify_axioms
-from .ehresmann import (
-    check_variety,
-    derive_structure,
-    is_left_restriction,
-    is_right_restriction,
-    maximal_subsemilattices,
-    order_containment,
-)
+from . import __version__, algebras, categories, ehresmann, reptheory, semigroups, zoo
 from .errors import NotSubsemilatticeError, SemicatError
 from .reports import jsonable
-from .reptheory import ei_report, radical_span, semisimple_image_check
-from .semigroups import from_interchange
-from .zoo import parse_zoo_spec
 
 SCHEMA_VERSION = 1
 
@@ -37,7 +24,7 @@ class InputError(Exception):
 def _load(args):
     if args.zoo:
         try:
-            return parse_zoo_spec(args.zoo), None
+            return zoo.parse_zoo_spec(args.zoo), None
         except ValueError as err:
             raise InputError(str(err)) from err
     try:
@@ -48,12 +35,12 @@ def _load(args):
     except json.JSONDecodeError as err:
         raise InputError(f"{args.input} is not valid JSON: {err}") from err
     try:
-        S, E = from_interchange(obj)
+        S, E = semigroups.from_interchange(obj)
     except (SemicatError, ValueError) as err:
         raise InputError(str(err)) from err
     if E is None:
         try:
-            options = maximal_subsemilattices(S)
+            options = ehresmann.maximal_subsemilattices(S)
         except ValueError as err:
             raise InputError(f"no E given and enumeration impossible: {err}") from err
         listing = "; ".join(str(list(o)) for o in options)
@@ -61,7 +48,7 @@ def _load(args):
             f"input has no E field; choose one of the maximal subsemilattices: {listing}"
         )
     try:
-        return derive_structure(S, E), None
+        return ehresmann.derive_structure(S, E), None
     except NotSubsemilatticeError as err:
         raise InputError("declared E is not a subsemilattice") from err
     except SemicatError as err:
@@ -110,7 +97,7 @@ def _run(args):
         _emit(args, {"derive_error": str(failure)}, False)
         return 1
     if args.emit_category:
-        _write(args.emit_category, category_to_json(build_category(ES)))
+        _write(args.emit_category, categories.category_to_json(categories.build_category(ES)))
     return args.func(args, ES)
 
 
@@ -129,11 +116,11 @@ def _classification(left, right):
 
 
 def cmd_check(args, ES):
-    variety = check_variety(ES.S, ES.plus, ES.star)
-    left, lw = is_left_restriction(ES)
-    right, rw = is_right_restriction(ES)
-    containment = order_containment(ES)
-    axioms = verify_axioms(build_category(ES))
+    variety = ehresmann.check_variety(ES.S, ES.plus, ES.star)
+    left, lw = ehresmann.is_left_restriction(ES)
+    right, rw = ehresmann.is_right_restriction(ES)
+    containment = ehresmann.order_containment(ES)
+    axioms = categories.verify_axioms(categories.build_category(ES))
 
     _status(True, "ehresmann-structure", f"|S|={ES.n}, |E|={len(ES.E)}")
     _status(variety.passed, "variety-identities")
@@ -171,7 +158,7 @@ def cmd_check(args, ES):
 
 
 def cmd_iso(args, ES):
-    report = verify_isomorphism(ES, order=args.order)
+    report = algebras.verify_isomorphism(ES, order=args.order)
     _status(report.bijection, "bijection", "psi o phi = id and phi o psi = id")
     _status(
         report.homomorphism,
@@ -183,7 +170,7 @@ def cmd_iso(args, ES):
         w = report.witness_expansion
 
         def fmt(coeffs):
-            return format_element(element("category", coeffs), names)
+            return algebras.format_element(algebras.element("category", coeffs), names)
 
         print(f"      first failing pair: a={ES.S.name(w['a'])}, b={ES.S.name(w['b'])}")
         print(f"      phi(a)        = {fmt(w['phi_a'])}")
@@ -195,9 +182,9 @@ def cmd_iso(args, ES):
 
 
 def cmd_rep(args, ES):
-    ei = ei_report(ES)
+    ei = reptheory.ei_report(ES)
     # computes Reg_E and the radical of QS once for the whole report
-    semi = semisimple_image_check(ES, order=args.order, allow_outside_theorem=True)
+    semi = reptheory.semisimple_image_check(ES, order=args.order, allow_outside_theorem=True)
     payload = {
         "reg_e_size": semi.reg_size,
         "is_EI": ei.is_ei,
@@ -210,7 +197,7 @@ def cmd_rep(args, ES):
     print(f"INFO  radical_dim(QS) = {semi.radical_dim_s}")
 
     if ei.is_ei:
-        rad = radical_span(ES)
+        rad = reptheory.radical_span(ES)
         payload["radical_span"] = rad.to_json()
         payload["radical_dim_category"] = rad.oracle_dim
         passed = passed and rad.passed

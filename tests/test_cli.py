@@ -71,7 +71,7 @@ def test_unwritable_output_path_fails_before_the_input_is_loaded(
         tmp_path, capsys, monkeypatch, flag, where):
     # no PASS line and no computation precede the error
     loaded = []
-    monkeypatch.setattr(cli, "parse_zoo_spec", loaded.append)
+    monkeypatch.setattr(zoo, "parse_zoo_spec", loaded.append)
     path = tmp_path / "missing" / "r.json" if where == "missing-parent" else tmp_path
     code, out, err = run(capsys, "rep", "--zoo", "pt:4", flag, str(path))
     assert (code, out) == (2, "")
