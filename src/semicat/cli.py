@@ -10,6 +10,11 @@ import json
 import os
 import sys
 
+# Every product here is small, and OpenBLAS reads this variable once, when numpy
+# loads: without it, each verdict's process starts a BLAS worker thread it never
+# needs.  A value the caller set is kept; `import semicat` alone sets nothing.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from . import __version__, algebras, categories, ehresmann, reptheory, semigroups, zoo
 from .errors import NotSubsemilatticeError, SemicatError
 from .reports import jsonable
@@ -22,7 +27,7 @@ class InputError(Exception):
 
 
 def _load(args):
-    if args.zoo:
+    if args.zoo is not None:
         try:
             return zoo.parse_zoo_spec(args.zoo), None
         except ValueError as err:

@@ -1,7 +1,7 @@
 """Pass/fail records with counterexample certificates."""
 
+import numbers
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -29,8 +29,6 @@ def jsonable(value):
     numpy integers and bools become Python ints and bools; any other type
     raises TypeError, so nothing reaches a report through an unplanned str().
     """
-    if isinstance(value, Fraction):
-        return str(value)
     if isinstance(value, dict):
         return {str(k): jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -43,6 +41,9 @@ def jsonable(value):
         return value
     if isinstance(value, (np.bool_, np.integer)):
         return value.item()
+    # after the integers, which are Rational too; this spares `fractions` an import
+    if isinstance(value, numbers.Rational):
+        return str(value)
     raise TypeError(f"a report cannot hold a value of type {type(value).__name__}")
 
 

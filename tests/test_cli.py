@@ -3,6 +3,8 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -236,9 +238,11 @@ def test_emit_category_schema(tmp_path, capsys):
 
 
 def test_bad_zoo_spec_is_input_error(capsys):
-    code, _, err = run(capsys, "check", "--zoo", "pt:99")
-    assert code == 2
-    assert "bad zoo spec" in err
+    for spec, message in [("pt:99", "bad zoo spec"), ("", "unknown zoo spec")]:
+        code, _, err = run(capsys, "check", "--zoo", spec)
+        assert code == 2
+        assert err.startswith("ERROR") and message in err
+        assert "Traceback" not in err
 
 
 def test_order_flag_is_validated(capsys):
@@ -373,13 +377,14 @@ def test_rep_builds_the_category_and_ei_report_once(monkeypatch, capsys, tmp_pat
 
 
 def test_reports_hold_numpy_scalars_as_python_values():
-    got = jsonable({"a": np.int64(5), "b": [np.bool_(True), np.uint8(3)], np.int64(2): None})
-    assert got == {"a": 5, "b": [True, 3], "2": None}
+    got = jsonable({"a": np.int64(5), "b": [np.bool_(True), np.uint8(3)], np.int64(2): None,
+                    "f": [Fraction(1, 2), Fraction(4, 2)]})
+    assert got == {"a": 5, "b": [True, 3], "2": None, "f": ["1/2", "2"]}
     assert [type(v) for v in (got["a"], *got["b"])] == [int, bool, int]
-    assert json.dumps(got) == '{"a": 5, "b": [true, 3], "2": null}'
+    assert json.dumps(got) == '{"a": 5, "b": [true, 3], "2": null, "f": ["1/2", "2"]}'
 
 
-@pytest.mark.parametrize("value", [object(), np.array([1, 2]), 1j, b"5"])
+@pytest.mark.parametrize("value", [object(), np.array([1, 2]), 1j, b"5", Decimal("0.5")])
 def test_reports_refuse_values_of_unknown_type(value):
     with pytest.raises(TypeError):
         jsonable({"witness": [value]})

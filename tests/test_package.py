@@ -89,12 +89,34 @@ def test_each_path_executes_only_the_modules_it_runs(tmp_path, pt2):
         "zoo", "ehresmann", "semigroups", "reports", "errors"}
     assert not executed(main.format(["check", "--input", "draw.json"], 0), tmp_path) & {
         "algebras", "reptheory", "zoo"}
-    assert "categories" not in executed(main.format(["check", "--input", "mutant.json"], 1),
-                                        tmp_path)
+    rejected = main.format(["check", "--input", "mutant.json"], 1) + \
+        "; assert not {'fractions', 'decimal'} & set(sys.modules)"
+    assert "categories" not in executed(rejected, tmp_path)
     assert "reptheory" not in executed(main.format(["iso", "--zoo", "pt:2"], 0), tmp_path)
     assert "algebras" not in executed(main.format(["rep", "--zoo", "pt:2"], 0), tmp_path)
     for argv in (["--setup", "zoo", "pt:3"], ["--setup", "input", "draw.json"]):
         assert not executed(setup.format(argv), tmp_path) & numeric
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task") or len(os.sched_getaffinity(0)) < 2,
+                    reason="OpenBLAS starts no worker thread on one CPU")
+def test_the_command_line_loads_blas_with_one_thread():
+    # the variable is already set in this process once any test imported semicat.cli
+    env = {k: v for k, v in fresh_env().items() if k != "OPENBLAS_NUM_THREADS"}
+
+    def child(code, **extra):
+        done = subprocess.run([sys.executable, "-c", "import os, sys; " + code],
+                              env={**env, **extra}, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        return done.stdout.split()
+
+    threads = "import numpy as np; np.ones((256, 256)) @ np.ones((256, 256)); " \
+              "print(len(os.listdir('/proc/self/task')))"
+    assert child("import semicat.cli; " + threads) == ["1"]
+    assert child("import semicat.cli; print(os.environ['OPENBLAS_NUM_THREADS'])",
+                 OPENBLAS_NUM_THREADS="2") == ["2"]
+    assert child("import semicat; from semicat.zoo import parse_zoo_spec; "
+                 "print('OPENBLAS_NUM_THREADS' in os.environ)") == ["False"]
 
 
 def test_readme_quick_tour_runs():
