@@ -47,11 +47,7 @@ class AlgebraElement:
         return element(self.basis, out)
 
     def __sub__(self, other):
-        self._check(other)
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, Fraction(0)) - v
-        return element(self.basis, out)
+        return self + -other
 
     def __neg__(self):
         return element(self.basis, {k: -v for k, v in self.coeffs.items()})
@@ -67,14 +63,7 @@ class AlgebraElement:
             raise BasisMismatchError(self.basis, other.basis)
 
     def __repr__(self):
-        sym = "S" if self.basis == SEMIGROUP else "C"
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i in sorted(self.coeffs):
-            c = self.coeffs[i]
-            parts.append(f"{sym}({i})" if c == 1 else f"{c}*{sym}({i})")
-        return " + ".join(parts)
+        return format_element(self)
 
 
 def element(basis, coeffs) -> AlgebraElement:
@@ -91,20 +80,6 @@ def basis_element(basis, i) -> AlgebraElement:
     return AlgebraElement(basis, {int(i): Fraction(1)})
 
 
-def zero(basis) -> AlgebraElement:
-    return AlgebraElement(basis, {})
-
-
-def _mul_table(table, u, v):
-    acc = {}
-    for i, ci in u.items():
-        row = table[i]
-        for j, cj in v.items():
-            k = int(row[j])
-            acc[k] = acc.get(k, 0) + ci * cj
-    return {k: c for k, c in acc.items() if c != 0}
-
-
 def _mul_partial(table, cod, dom, u, v):
     acc = {}
     for i, ci in u.items():
@@ -119,11 +94,12 @@ def _mul_partial(table, cod, dom, u, v):
 
 
 def mul_semigroup(ES, u, v) -> AlgebraElement:
-    """Bilinear extension of the semigroup product."""
+    """Bilinear extension of the semigroup product: S as a category with one object."""
     if u.basis != SEMIGROUP:
         raise BasisMismatchError(SEMIGROUP, u.basis)
     u._check(v)
-    return element(SEMIGROUP, _mul_table(ES.S.table, u.coeffs, v.coeffs))
+    one_object = (0,) * ES.n
+    return element(SEMIGROUP, _mul_partial(ES.S.table, one_object, one_object, u.coeffs, v.coeffs))
 
 
 def mul_category(C, u, v) -> AlgebraElement:
@@ -310,11 +286,11 @@ def verify_isomorphism(ES, order="r") -> IsoReport:
     )
 
 
-def format_element(el, names=None, symbol=None) -> str:
+def format_element(el, names=None) -> str:
     """Render a combination like 'C({(1,1)}) + C({})' using element names."""
     if el.is_zero():
         return "0"
-    sym = symbol or ("S" if el.basis == SEMIGROUP else "C")
+    sym = "S" if el.basis == SEMIGROUP else "C"
     parts = []
     for i in sorted(el.coeffs):
         c = el.coeffs[i]

@@ -189,7 +189,7 @@ def cmd_iso(args, ES):
 def cmd_rep(args, ES):
     ei = reptheory.ei_report(ES)
     # computes Reg_E and the radical of QS once for the whole report
-    semi = reptheory.semisimple_image_check(ES, order=args.order, allow_outside_theorem=True)
+    semi = reptheory.semisimple_image_check(ES, order=args.order)
     payload = {
         "reg_e_size": semi.reg_size,
         "is_EI": ei.is_ei,

@@ -51,12 +51,12 @@ class EhresmannStructure:
 
 @dataclass(frozen=True, eq=False)
 class TildeClasses:
-    r_classes: tuple        # tuples of element indices, sorted by least member
-    l_classes: tuple
-    h_classes: tuple
-    r_index: np.ndarray     # element -> position of its class in r_classes
+    r_index: np.ndarray     # element -> class id, classes numbered by least member
     l_index: np.ndarray
     h_index: np.ndarray
+
+    def classes(self, which):
+        return class_members(getattr(self, which + "_index"))
 
 
 def tilde_relations(S, E) -> TildeClasses:
@@ -65,8 +65,7 @@ def tilde_relations(S, E) -> TildeClasses:
     a = np.arange(S.n)[:, None]
     r = class_ids(np.packbits(S.table[E, :].T == a, axis=1))  # rows: the e in E with ea = a
     l = class_ids(np.packbits(S.table[:, E] == a, axis=1))    # rows: the e in E with ae = a
-    h = class_ids(np.stack([r, l], axis=1))
-    return TildeClasses(*(tuple(class_members(ids)) for ids in (r, l, h)), r, l, h)
+    return TildeClasses(r, l, class_ids(np.stack([r, l], axis=1)))
 
 
 def derive_structure(S, E) -> EhresmannStructure:
@@ -81,8 +80,8 @@ def derive_structure(S, E) -> EhresmannStructure:
         raise NotSubsemilatticeError(*bad)
     tilde = tilde_relations(S, E)
     e = np.array(E, dtype=np.int64)
-    p = _representatives("tilde-R", tilde.r_classes, tilde.r_index, e)
-    s = _representatives("tilde-L", tilde.l_classes, tilde.l_index, e)
+    p = _representatives("tilde-R", tilde.r_index, e)
+    s = _representatives("tilde-L", tilde.l_index, e)
 
     t = S.table
     bad_plus = p[t] != p[t[:, p]]    # (ab)+ != (ab+)+
@@ -97,7 +96,7 @@ def derive_structure(S, E) -> EhresmannStructure:
     return EhresmannStructure(S, E, p, s, t[p, :] == column, t[:, s].T == column)
 
 
-def _representatives(side, classes, index, E):
+def _representatives(side, index, E):
     """The map sending each element to the one member of E in its class.
 
     Raises for the first class, in class order, that holds no member of E.
@@ -105,11 +104,11 @@ def _representatives(side, classes, index, E):
     one tilde-R (tilde-L) class are left (right) identities of each other, so
     e = fe = ef = f.
     """
-    count = np.bincount(index[E], minlength=len(classes))
+    count = np.bincount(index[E], minlength=index.max() + 1)
     bad = first_witness(count == 0, ("c",))
     if bad:
-        raise ClassWithoutIdempotentError(side, classes[bad["c"]])
-    rep = np.empty(len(classes), dtype=np.int64)
+        raise ClassWithoutIdempotentError(side, class_members(index)[bad["c"]])
+    rep = np.empty(len(count), dtype=np.int64)
     rep[index[E]] = E
     return rep[index]
 
@@ -214,7 +213,10 @@ def order_containment(ES) -> OrderContainment:
     return OrderContainment(l_in_r, w1, r_in_l, w2, left, right)
 
 
-def maximal_subsemilattices(S, limit=24):
+MAX_IDEMPOTENTS = 24  # maximal_subsemilattices enumerates cliques on at most this many
+
+
+def maximal_subsemilattices(S):
     """All maximal subsemilattices, as sorted tuples of idempotent indices.
 
     A maximal set of pairwise-commuting idempotents is automatically closed
@@ -222,7 +224,7 @@ def maximal_subsemilattices(S, limit=24):
     graph on E(S).  Intended for small inputs only.
     """
     elems = sorted(idempotents(S))
-    if len(elems) > limit:
+    if len(elems) > MAX_IDEMPOTENTS:
         raise ValueError(f"too many idempotents ({len(elems)}) for enumeration")
     t = S.table
     adj = {e: {f for f in elems if f != e and t[e][f] == t[f][e]} for e in elems}

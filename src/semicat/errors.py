@@ -89,12 +89,6 @@ class NotEIError(SemicatError):
         self.witness = witness
 
 
-class PreconditionNotMetError(SemicatError):
-    def __init__(self, which):
-        super().__init__(f"precondition not met: {which}")
-        self.which = which
-
-
 class IncompatibleMapsError(SemicatError):
     def __init__(self, detail, witness):
         super().__init__(f"connecting homomorphisms invalid: {detail} at {witness}")

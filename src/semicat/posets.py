@@ -8,7 +8,7 @@ import numpy as np
 from .errors import NotAPosetError
 from .linalg import exact_matmul
 from .reports import first_witness
-from .semigroups import kept
+from .semigroups import freeze_fields, kept
 
 
 def poset_violation(leq):
@@ -31,30 +31,29 @@ def poset_violation(leq):
     return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FinitePoset:
     m: int
-    leq: tuple  # leq[x][y] is True iff x <= y
+    zeta: np.ndarray  # zeta[x, y] is True iff x <= y
 
     def __post_init__(self):
-        # zeta: leq as a read-only bool matrix, the one every method reads; not
-        # a field, so == and hash still read (m, leq)
-        zeta = np.array(self.leq, dtype=bool).reshape(self.m, self.m)
-        zeta.flags.writeable = False
-        bad = poset_violation(zeta)
+        # a read-only (m, m) bool array is kept as it is, not copied
+        object.__setattr__(self, "zeta", np.asarray(self.zeta, dtype=bool).reshape(self.m, self.m))
+        freeze_fields(self, zeta=bool)
+        bad = poset_violation(self.zeta)
         if bad is not None:
             raise NotAPosetError(*bad)
-        object.__setattr__(self, "zeta", zeta)
+
+    @property
+    def leq(self):
+        """The order as a tuple of rows of bools, leq[x][y] iff x <= y; hashable."""
+        return tuple(map(tuple, self.zeta.tolist()))
 
     def below(self, x):
         return np.flatnonzero(self.zeta[:, x]).tolist()
 
     def interval(self, x, y):
         return np.flatnonzero(self.zeta[x] & self.zeta[:, y]).tolist()
-
-
-def poset_from_matrix(leq) -> FinitePoset:
-    return FinitePoset(len(leq), tuple(tuple(row.tolist()) for row in np.asarray(leq, dtype=bool)))
 
 
 def _inverse_zeta(leq, dtype):
@@ -112,7 +111,8 @@ def natural_order(structure, order="r"):
 
 def order_poset(structure, order="r") -> FinitePoset:
     """The natural order of an Ehresmann structure or category as a poset."""
-    return poset_from_matrix(natural_order(structure, order))
+    leq = natural_order(structure, order)
+    return FinitePoset(len(leq), leq)
 
 
 def order_data(structure, order="r") -> np.ndarray:

@@ -13,12 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    InconsistentComputationError,
-    NotClosedError,
-    NotEIError,
-    PreconditionNotMetError,
-)
+from .errors import InconsistentComputationError, NotClosedError, NotEIError
 from .ehresmann import is_left_restriction, is_right_restriction, tilde_relations
 from .linalg import rank
 from .posets import order_data
@@ -312,7 +307,7 @@ class SemisimpleReport:
         }
 
 
-def semisimple_image_check(ES, order="r", allow_outside_theorem=False) -> SemisimpleReport:
+def semisimple_image_check(ES, order="r") -> SemisimpleReport:
     """Verify that the span of Reg_E(S) realizes the maximal semisimple image.
 
     Checks, over the rationals: (i) dim Rad(QS) = |S| - |Reg_E(S)|; (ii) the
@@ -320,19 +315,13 @@ def semisimple_image_check(ES, order="r", allow_outside_theorem=False) -> Semisi
     carries the span of the invertible morphisms into, and onto, QReg_E(S).
 
     The conclusion is asserted only under the hypotheses "left or right
-    restriction" and "EI".  With allow_outside_theorem the raw quantities are
-    still computed and reported, flagged as outside the theorem.
+    restriction" and "EI".  Outside them the raw quantities are still computed
+    and reported, flagged as outside the theorem, and semisimple_check is None.
     """
     left, _ = is_left_restriction(ES)
     right, _ = is_right_restriction(ES)
     ei, _ = is_ei(ES)
-    unmet = []
-    if not (left or right):
-        unmet.append("left or right restriction")
-    if not ei:
-        unmet.append("EI category")
-    if unmet and not allow_outside_theorem:
-        raise PreconditionNotMetError(", ".join(unmet))
+    outside = not ((left or right) and ei)
 
     reg = list(reg_e(ES).elements)  # the invertible morphisms
     n = ES.n
@@ -354,12 +343,12 @@ def semisimple_image_check(ES, order="r", allow_outside_theorem=False) -> Semisi
         left_restriction=left,
         right_restriction=right,
         is_ei=ei,
-        outside_theorem=bool(unmet),
+        outside_theorem=outside,
         reg_size=len(reg),
         radical_dim_s=rad_dim,
         dims_match=dims_match,
         projection_full_rank=projection_full_rank,
         psi_image_in_span=in_span,
         psi_image_full_rank=psi_full_rank,
-        semisimple_check=None if unmet else all_ok,
+        semisimple_check=None if outside else all_ok,
     )

@@ -131,6 +131,8 @@ def relation_mask(pairs, n) -> int:
     """Index of a relation given as 1-based pairs, e.g. [(1,1),(1,2)]."""
     mask = 0
     for i, j in pairs:
+        if not (1 <= i <= n and 1 <= j <= n):
+            raise ValueError(f"pair ({i}, {j}) is outside 1..{n}")
         mask |= 1 << ((i - 1) * n + (j - 1))
     return mask
 

@@ -398,3 +398,9 @@ def test_format_element_matches_exhibit_style(b2):
     assert text == "C({}) + C({(1,1),(1,2)})"
     assert format_element(element("category", {}), b2.S.names) == "0"
     assert format_element(element("semigroup", {0: -1, 2: Fraction(3, 2)})) == "-S(0) + 3/2*S(2)"
+
+
+def test_repr_is_format_element():
+    el = element("semigroup", {0: -1, 2: Fraction(-3, 2), 3: 1, 5: Fraction(2, 3)})
+    assert repr(el) == format_element(el) == "-S(0) - 3/2*S(2) + S(3) + 2/3*S(5)"
+    assert repr(element("category", {})) == format_element(element("category", {})) == "0"

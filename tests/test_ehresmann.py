@@ -19,7 +19,7 @@ from semicat import (
     tilde_relations,
     validate,
 )
-from semicat import zoo
+from semicat import ehresmann, zoo
 from semicat.ehresmann import EhresmannStructure
 from semicat.errors import (
     ClassWithoutIdempotentError,
@@ -28,7 +28,7 @@ from semicat.errors import (
     SemicatError,
 )
 from semicat.reports import VerificationReport
-from semicat.semigroups import FiniteSemigroup
+from semicat.semigroups import FiniteSemigroup, class_members
 
 
 def test_no_tilde_class_holds_two_members_of_e(zoo_members):
@@ -166,7 +166,7 @@ def test_monoid_class_condition_iff_identity_in_e(pt2):
     for E in ([1], [1, 8], list(pt2.E)):
         tilde = tilde_relations(pt2.S, E)
         eset = set(E)
-        assert all(any(e in eset for e in cls) for cls in tilde.r_classes)
+        assert all(any(e in eset for e in cls) for cls in tilde.classes("r"))
 
 
 def test_derive_rejects_non_subsemilattice(pt2):
@@ -302,7 +302,7 @@ def test_maximal_subsemilattices_b2(b2):
 def test_maximal_subsemilattices_guard():
     big = zoo.b_n(3).S
     with pytest.raises(ValueError):
-        maximal_subsemilattices(big, limit=10)
+        maximal_subsemilattices(big)
 
 
 # --- derive_structure against the per-pair loops -------------------------------
@@ -360,7 +360,7 @@ def reference_tilde_relations(S, E):
 
 def tilde_fields(S, E):
     got = tilde_relations(S, E)
-    return (got.r_classes, got.l_classes, got.h_classes, tuple(got.r_index.tolist()),
+    return (*(tuple(got.classes(w)) for w in "rlh"), tuple(got.r_index.tolist()),
             tuple(got.l_index.tolist()), tuple(got.h_index.tolist()))
 
 
@@ -452,6 +452,19 @@ def test_derive_on_idempotent_subsets_fails_as_the_loops_do(spec):
         if got[0] is CongruenceError:
             sides.add(got[2]["side"])
     assert sides
+
+
+def test_passing_derive_builds_no_class_members(zoo_members, monkeypatch):
+    # class members are built only to name the class a rejection reports
+    calls = []
+    monkeypatch.setattr(ehresmann, "class_members", lambda ids: calls.append(ids) or class_members(ids))
+    for es in zoo_members.values():
+        derive_structure(es.S, es.E)
+    assert calls == []
+    pt2 = zoo.pt_n(2)
+    got = derive_outcome(derive_structure, pt2.S, [2, 7, 8])
+    assert got[0] is ClassWithoutIdempotentError and len(calls) == 1
+    assert got == derive_outcome(reference_derive, pt2.S, [2, 7, 8])
 
 
 # --- identity, restriction and containment checks against the per-pair loops ----

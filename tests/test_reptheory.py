@@ -27,7 +27,6 @@ from semicat.errors import (
     InconsistentComputationError,
     NotClosedError,
     NotEIError,
-    PreconditionNotMetError,
     SemicatError,
 )
 from semicat.linalg import nullspace, rank
@@ -313,7 +312,7 @@ def test_projection_rank_matches_the_stacked_rank_on_arbitrary_tables():
 def test_projection_full_rank_matches_the_stacked_rank(zoo_members):
     kinds = set()
     for es in list(zoo_members.values()) + list(structure_mutants(zoo_members, 44, 72)):
-        got = outcome(semisimple_image_check, es, "r", True)
+        got = outcome(semisimple_image_check, es, "r")
         if kind_of(got) == "ok":
             _, basis = oracle_and_basis(es.S.table, all_defined(es.n))
             full = stacked_rank_is_full(basis, reg_e(es).elements, es.n)
@@ -420,13 +419,13 @@ def test_semisimple_image_strong_semilattice(ssl):
 
 
 def test_semisimple_image_gated_outside_theorem(six, b2):
-    with pytest.raises(PreconditionNotMetError):
-        semisimple_image_check(six)
-    semi = semisimple_image_check(six, allow_outside_theorem=True)
-    assert semi.outside_theorem and semi.semisimple_check is None
+    semi = semisimple_image_check(six)
+    assert semi.outside_theorem and semi.semisimple_check is None and semi.passed
+    assert not (semi.left_restriction or semi.right_restriction)
     assert semi.radical_dim_s == 3 and semi.reg_size == 3
-    with pytest.raises(PreconditionNotMetError):
-        semisimple_image_check(b2)
+    semi = semisimple_image_check(b2)
+    assert semi.outside_theorem and semi.semisimple_check is None
+    assert not semi.is_ei
 
 
 # --- Reg_E, EI and the radical span against the per-element loops ------------------
@@ -686,7 +685,7 @@ def test_psi_image_matches_the_loop(zoo_members, monkeypatch):
     kinds = set()
 
     def check(es, order):
-        got = outcome(semisimple_image_check, es, order, True)
+        got = outcome(semisimple_image_check, es, order)
         if kind_of(got) == "ok":
             images = (got.psi_image_in_span, got.psi_image_full_rank)
             assert images == reference_psi_image(es, order)

@@ -1,5 +1,6 @@
 import functools
 import json
+import re
 from itertools import product as iproduct
 from pathlib import Path
 
@@ -62,6 +63,17 @@ def test_b2_composition_is_relational():
     assert b2.S.table[r][q] == zoo.relation_mask([(1, 1)], 2)
 
 
+def test_relation_mask_rejects_pairs_outside_the_points():
+    for pair in [(1, 3), (3, 1), (0, 1)]:
+        with pytest.raises(ValueError, match=re.escape(f"pair {pair} is outside 1..2")):
+            zoo.relation_mask([pair], 2)
+    for n in (1, 2, 3):
+        pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+        for k, pair in enumerate(pairs):
+            assert zoo.relation_mask([pair], n) == 1 << k
+        assert zoo.relation_mask(pairs, n) == (1 << n * n) - 1
+
+
 def test_b_n_rejects_out_of_bounds():
     with pytest.raises(ValueError):
         zoo.b_n(4)  # dense table would need 2^32 entries
@@ -96,7 +108,7 @@ def test_six_element_classes_meet_e_once(six):
 
     tilde = tilde_relations(six.S, six.E)
     eset = set(six.E)
-    for cls in tilde.r_classes + tilde.l_classes:
+    for cls in tilde.classes("r") + tilde.classes("l"):
         assert len([e for e in cls if e in eset]) == 1
 
 
