@@ -192,8 +192,12 @@ def radical_oracle(table, defined):
     where defined and 0 elsewhere.  The equations are the columns of T and
     the plain trace row fix (needed when the algebra has no unit); returns
     the dimension of their solution space, len(table) minus their exact rank.
+    The all-zero rows and columns of the equations are dropped first: they
+    do not change the rank, and on a category algebra, where T[i, j] = 0
+    unless b_i b_j is a loop, they are many.
     """
-    return len(table) - rank(_trace_form(table, defined).tolist())
+    form = _trace_form(table, defined)
+    return len(table) - rank(list(form[np.ix_(form.any(axis=1), form.any(axis=0))]))
 
 
 def _trace_form(table, defined):
@@ -331,12 +335,12 @@ def semisimple_image_check(ES, order="r") -> SemisimpleReport:
 
     # the radical meets span{e_r : r in Reg_E} only in 0 iff those columns have full rank
     equations = _trace_form(ES.S.table, everywhere)[:, reg]
-    projection_full_rank = rank(equations.tolist()) == len(reg)
+    projection_full_rank = rank(list(equations)) == len(reg)
 
     # column x of the Moebius matrix holds the coefficients of psi(x)
     images = order_data(ES, order)[:, reg]
     in_span = not np.delete(images, reg, axis=0).any()
-    psi_full_rank = in_span and rank(images[reg].tolist()) == len(reg)
+    psi_full_rank = in_span and rank(list(images[reg])) == len(reg)
 
     all_ok = dims_match and projection_full_rank and in_span and psi_full_rank
     return SemisimpleReport(

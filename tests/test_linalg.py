@@ -1,11 +1,13 @@
 """The certified modular route of linalg against Fraction elimination."""
 
+import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semicat import linalg, reptheory, zoo
@@ -57,6 +59,50 @@ def integer_matrices(draw):
 def test_fast_paths_match_fraction_elimination(matrix):
     assert nullspace(matrix) == rational_nullspace(matrix)
     assert rank(matrix) == rational_rank(matrix)
+
+
+@st.composite
+def integer_arrays(draw):
+    """integer_matrices as int64 arrays with some rows and columns zeroed, or
+    times 2**64 (same rank and kernel) as Python ints beyond int64."""
+    a = np.array(draw(integer_matrices()), dtype=np.int64)
+    m, n = a.shape
+    a[draw(st.lists(st.booleans(), min_size=m, max_size=m))] = 0
+    a[:, draw(st.lists(st.booleans(), min_size=n, max_size=n))] = 0
+    if draw(st.booleans()):
+        a = a.astype(object) * 2**64
+    return a
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_arrays())
+@example(np.array([[2, 1]]))          # kernel (-1/2, 1): rational reconstruction
+@example(np.array([[2**70, 3]], dtype=object))
+@example(np.zeros((0, 3), dtype=np.int64))
+@example(np.zeros((3, 0), dtype=np.int64))
+def test_array_rows_match_list_rows_and_fraction_elimination(a):
+    rows = a.tolist()
+    assert rank(list(a)) == rank(rows) == rational_rank(rows)
+    basis = nullspace(list(a))
+    assert basis == nullspace(rows) == rational_nullspace(rows)
+    assert all(type(x) is Fraction for v in basis for x in v)
+
+
+def test_rational_kernel_is_reconstructed_without_fraction_elimination(fallbacks):
+    assert nullspace([[2, 1]]) == [(Fraction(-1, 2), Fraction(1))]
+    assert nullspace([[3, 0, 2], [0, 5, 2]]) == [(Fraction(-2, 3), Fraction(-2, 5), Fraction(1))]
+    assert fallbacks == []
+
+
+def test_cleared_denominators_beyond_int64_stay_exact(fallbacks):
+    # x_i = x_16 / q_i for the first 16 primes: their product, 3.3e19, is the free entry
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53]
+    matrix = [[q if c == i else -1 if c == len(primes) else 0 for c in range(len(primes) + 1)]
+              for i, q in enumerate(primes)]
+    assert nullspace(matrix) == rational_nullspace(matrix) == \
+        [tuple(Fraction(1, q) for q in primes) + (Fraction(1),)]
+    assert math.prod(primes) >= 2**63
+    assert fallbacks == []
 
 
 def test_entries_that_are_not_integers_are_rejected():
@@ -215,3 +261,60 @@ def test_exact_matmul_of_boolean_relations():
     a = rng.random((40, 30)) < 0.3
     b = rng.random((30, 20)) < 0.3
     assert (linalg.exact_matmul(a, b) == a.astype(np.int64) @ b.astype(np.int64)).all()
+
+
+ROUTES = {
+    "float64": {},
+    "int64": {"FLOAT64_EXACT": 0},
+    "object": {"FLOAT64_EXACT": 0, "INT64_SAFE": 0},
+}
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_blocked_exact_matmul_on_every_route(monkeypatch, route):
+    # row counts off multiples of the 8 row blocks, one row, no rows, no inner dimension
+    for name, value in ROUTES[route].items():
+        monkeypatch.setattr(linalg, name, value)
+    rng = np.random.default_rng(3)
+
+    def draw(shape, kind):
+        return rng.random(shape) < 0.4 if kind == "bool" else rng.integers(-50, 51, shape)
+
+    for m, k, n in [(9, 5, 4), (17, 6, 1), (23, 7, 9), (16, 3, 3), (3, 4, 2), (1, 4, 3),
+                    (0, 3, 2), (5, 0, 4), (0, 0, 0)]:
+        for kinds in [("int", "int"), ("bool", "int"), ("int", "bool"), ("bool", "bool")]:
+            a, b = draw((m, k), kinds[0]), draw((k, n), kinds[1])
+            got = linalg.exact_matmul(a, b)
+            assert got.dtype == (object if route == "object" else np.int64)
+            assert got.shape == (m, n)
+            assert (got == a.astype(object) @ b.astype(object)).all(), (m, k, n, kinds)
+
+
+# --- memory ------------------------------------------------------------------
+
+
+def traced_peak(f, *args):
+    """f(*args) and the most bytes it held at once, numpy's buffers included."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = f(*args)
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_rank_of_the_op4_trace_form_peaks_below_five_copies():
+    es = zoo.parse_zoo_spec("op:4")
+    form = reptheory._trace_form(es.S.table, np.ones((es.n, es.n), dtype=bool))
+    rows = list(form)
+    got, peak = traced_peak(rank, rows)
+    assert got == 70
+    assert peak <= 5 * form.nbytes, peak / form.nbytes
+
+
+def test_exact_matmul_of_the_op4_order_peaks_below_two_and_a_half_results():
+    leq = zoo.parse_zoo_spec("op:4").leq_r
+    got, peak = traced_peak(linalg.exact_matmul, leq, leq)
+    assert got.dtype == np.int64
+    assert peak <= 2.5 * got.nbytes, peak / got.nbytes

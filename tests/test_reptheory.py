@@ -280,6 +280,27 @@ def test_radical_oracle_matches_the_dict_route_on_arbitrary_tables(data):
     assert oracle_and_basis(table, defined) == reference_radical_oracle(n, mul)
 
 
+def test_radical_oracle_ranks_only_the_nonzero_block_of_the_trace_form(zoo_members, monkeypatch):
+    op4 = zoo.parse_zoo_spec("op:4")
+    seen = []
+
+    def spy(rows):
+        seen.append((type(rows), np.shape(rows)))
+        return rank(rows)
+
+    monkeypatch.setattr(reptheory, "rank", spy)
+    radical_span(op4)
+    assert seen == [(list, (71, 70))]            # the full QC form is 193 x 192
+    semisimple_image_check(op4)
+    assert {kind for kind, _ in seen} == {list}  # rows, as the benchmark's span counter reads them
+    monkeypatch.undo()
+    for name, es in {**zoo_members, "op:4": op4}.items():
+        C = build_category(es)
+        for table, defined in [(es.S.table, all_defined(es.n)), (C.table, composable(C))]:
+            full = reptheory._trace_form(table, defined).tolist()
+            assert radical_oracle(table, defined) == len(table) - rank(full), name
+
+
 def stacked_rank_is_full(basis, reg, n):
     """The radical basis stacked on the unit vectors e_r, r in reg, has full rank."""
     rows = [list(v) for v in basis] + [[int(c == r) for c in range(n)] for r in reg]
