@@ -24,7 +24,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .categories import build_category
 from .errors import BasisMismatchError
 from .linalg import exact_matmul
 from .posets import natural_order, order_data
@@ -269,7 +268,7 @@ def verify_isomorphism(ES, order="r") -> IsoReport:
             "phi_a": phi_a.coeffs,
             "phi_b": phi_b.coeffs,
             "phi_ab": phi_ab.coeffs,
-            "phi_a_phi_b": mul_category(build_category(ES), phi_a, phi_b).coeffs,
+            "phi_a_phi_b": _mul_partial(table, cod, dom, phi_a.coeffs, phi_b.coeffs),
         }
 
     case1_count = int(np.bincount(cod, minlength=n) @ np.bincount(dom, minlength=n))

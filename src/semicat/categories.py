@@ -9,10 +9,10 @@ recovers the semigroup via the pseudo-product
     x . y = (x | cod(x) ^ dom(y)) * (cod(x) ^ dom(y) | y)
 
 where ^ is the object meet and (e | x), (x | e) are restriction and
-co-restriction.
+co-restriction.  All three are table entries: e ^ f is the product e*f,
+(e | x) is e*x and (x | e) is x*e.
 """
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,16 +34,12 @@ class EhresmannCategory:
     objects: tuple          # sorted subset of morphism indices (the identities)
     dom: np.ndarray
     cod: np.ndarray
-    table: np.ndarray       # composition values; consulted only on composable pairs
+    table: np.ndarray       # products: compositions, (e | x) = ex, (x | e) = xe, e ^ f = ef
     leq_r: np.ndarray
     leq_l: np.ndarray
-    meet: dict              # (e, f) -> object meet, for e, f in objects
 
     def __post_init__(self):
         freeze_fields(self, dom=np.int64, cod=np.int64, table=np.int64, leq_r=bool, leq_l=bool)
-
-    def is_object(self, e):
-        return (e, e) in self.meet
 
     def composable(self, x, y):
         return bool(self.cod[x] == self.dom[y])
@@ -69,7 +65,6 @@ def build_category(ES) -> EhresmannCategory:
 
 
 def _category(ES):
-    meets = ES.S.table[np.ix_(ES.E, ES.E)].ravel().tolist()
     return EhresmannCategory(
         n=ES.n,
         objects=tuple(ES.E),
@@ -78,20 +73,19 @@ def _category(ES):
         table=ES.S.table,
         leq_r=ES.leq_r,
         leq_l=ES.leq_l,
-        meet=dict(zip(itertools.product(ES.E, ES.E), meets)),
     )
 
 
 def restriction(C, e, x):
     """(e | x): the unique y <=_r x with dom(y) = e, realized as the product e*x."""
-    if not C.is_object(e) or not C.object_leq(e, C.dom[x]):
+    if e not in C.objects or not C.object_leq(e, C.dom[x]):
         raise NotBelowDomainError(e, x)
     return int(C.table[e, x])
 
 
 def corestriction(C, x, e):
     """(x | e): the unique y <=_l x with cod(y) = e, realized as the product x*e."""
-    if not C.is_object(e) or not C.object_leq(e, C.cod[x]):
+    if e not in C.objects or not C.object_leq(e, C.cod[x]):
         raise NotBelowRangeError(x, e)
     return int(C.table[x, e])
 
@@ -160,18 +154,13 @@ def verify_axioms(C) -> VerificationReport:
 
 
 def _meets(C, left, right):
-    """C.meet[(left[i], right[j])] as an array; KeyError for a pair C.meet lacks."""
-    keys = np.array(list(C.meet), dtype=np.int64).reshape(-1, 2)
-    k = np.flatnonzero(np.bincount(keys.ravel(), minlength=C.n))  # the elements in the keys
-    at = np.full(C.n, len(k))  # row/column of each element; len(k), holding no meet, outside k
-    at[k] = np.arange(len(k))
-    meet = np.full((len(k) + 1, len(k) + 1), -1, dtype=np.int64)
-    meet[at[keys[:, 0]], at[keys[:, 1]]] = list(C.meet.values())
-    out = meet[at[left][:, None], at[right]]
-    missing = first_witness(out < 0, ("e", "f"), e=left, f=right)
+    """The object meets left[i] ^ right[j] = table[left[i], right[j]]; KeyError for a non-object."""
+    is_object = np.isin(np.arange(C.n), C.objects)
+    outside = ~(is_object[left][:, None] & is_object[right])
+    missing = first_witness(outside, ("e", "f"), e=left, f=right)
     if missing:
         raise KeyError((missing["e"], missing["f"]))
-    return out
+    return C.table[left[:, None], right]
 
 
 def _identity_witness(t, dom, cod, objects):

@@ -196,14 +196,18 @@ def radical_oracle(table, defined):
     do not change the rank, and on a category algebra, where T[i, j] = 0
     unless b_i b_j is a loop, they are many.
     """
-    form = _trace_form(table, defined)
-    return len(table) - rank(list(form[np.ix_(form.any(axis=1), form.any(axis=0))]))
+    return _radical_dim(_trace_form(table, defined))
 
 
 def _trace_form(table, defined):
     """The radical's equations: the columns of the Gram matrix fix[table], then the row fix."""
     fix = (defined & (table == np.arange(len(table)))).sum(axis=1)
     return np.vstack([np.where(defined, fix[table], 0).T, fix])
+
+
+def _radical_dim(form):
+    """The dimension of the solution space of a trace form, from its nonzero block."""
+    return form.shape[1] - rank(list(form[np.ix_(form.any(axis=1), form.any(axis=0))]))
 
 
 @dataclass(frozen=True)
@@ -329,13 +333,12 @@ def semisimple_image_check(ES, order="r") -> SemisimpleReport:
 
     reg = list(reg_e(ES).elements)  # the invertible morphisms
     n = ES.n
-    everywhere = np.ones((n, n), dtype=bool)
-    rad_dim = radical_oracle(ES.S.table, everywhere)
+    form = _trace_form(ES.S.table, np.ones((n, n), dtype=bool))  # QS's radical equations
+    rad_dim = _radical_dim(form)
     dims_match = rad_dim == n - len(reg)
 
     # the radical meets span{e_r : r in Reg_E} only in 0 iff those columns have full rank
-    equations = _trace_form(ES.S.table, everywhere)[:, reg]
-    projection_full_rank = rank(list(equations)) == len(reg)
+    projection_full_rank = rank(list(form[:, reg])) == len(reg)
 
     # column x of the Moebius matrix holds the coefficients of psi(x)
     images = order_data(ES, order)[:, reg]

@@ -45,6 +45,8 @@ class FiniteSemigroup:
 
     def __post_init__(self):
         freeze_fields(self, table=np.int64)
+        if self.table.shape != (self.n, self.n):
+            raise ValueError(f"table shape {self.table.shape} does not match n = {self.n}")
 
     def mul(self, a, b):
         return int(self.table[a, b])

@@ -155,6 +155,13 @@ def test_monoid_pseudo_product_is_monoid_product():
 # --- verify_axioms and rebuild_semigroup against the nested loops ---------------
 
 
+def meet(C, e, f):
+    """The object meet e ^ f, the table entry ef; KeyError((e, f)) unless both are objects."""
+    if e not in C.objects or f not in C.objects:
+        raise KeyError((int(e), int(f)))
+    return C.table[e][f]
+
+
 def _down_lists(leq, n):
     return [[y for y in range(n) if leq[y][x]] for x in range(n)]
 
@@ -288,7 +295,7 @@ def reference_verify_axioms(C):
         for f in C.objects:
             lower = [g for g in C.objects if C.object_leq(g, e) and C.object_leq(g, f)]
             tops = [g for g in lower if all(C.object_leq(h, g) for h in lower)]
-            if len(tops) != 1 or tops[0] != C.meet[(e, f)]:
+            if len(tops) != 1 or tops[0] != meet(C, e, f):
                 witness = {"e": e, "f": f, "lower": lower}
                 break
         if witness:
@@ -313,8 +320,8 @@ def reference_verify_axioms(C):
             if not C.leq_r[x][y]:
                 continue
             for f in C.objects:
-                xc = t[x][C.meet[(C.cod[x], f)]]
-                yc = t[y][C.meet[(C.cod[y], f)]]
+                xc = t[x][meet(C, C.cod[x], f)]
+                yc = t[y][meet(C, C.cod[y], f)]
                 if not C.leq_r[xc][yc]:
                     witness = {"x": x, "y": y, "f": f}
                     break
@@ -330,8 +337,8 @@ def reference_verify_axioms(C):
             if not C.leq_l[x][y]:
                 continue
             for f in C.objects:
-                xr = t[C.meet[(C.dom[x], f)]][x]
-                yr = t[C.meet[(C.dom[y], f)]][y]
+                xr = t[meet(C, C.dom[x], f)][x]
+                yr = t[meet(C, C.dom[y], f)][y]
                 if not C.leq_l[xr][yr]:
                     witness = {"x": x, "y": y, "f": f}
                     break
@@ -362,7 +369,7 @@ def reference_poset_violation(leq):
 
 def reference_rebuild_table(C):
     return tuple(
-        tuple(C.table[C.table[x][C.meet[(C.cod[x], C.dom[y])]]][C.table[C.meet[(C.cod[x], C.dom[y])]][y]]
+        tuple(C.table[C.table[x][meet(C, C.cod[x], C.dom[y])]][C.table[meet(C, C.cod[x], C.dom[y])][y]]
               for y in range(C.n))
         for x in range(C.n)
     )
@@ -386,24 +393,20 @@ def _flip(rows, x, y):
 
 
 def single_field_mutant(C, rng):
-    """C with one table entry, end, order bit or meet entry changed."""
+    """C with one table entry, end or order bit changed."""
     n, objects = C.n, C.objects
     x, y = rng.randrange(n), rng.randrange(n)
-    field = rng.choice(["table", "dom", "cod", "leq_r", "leq_l", "meet"])
+    field = rng.choice(["table", "dom", "cod", "leq_r", "leq_l"])
     if field == "table":
         rows = [list(row) for row in C.table]
         rows[x][y] = rng.choice([v for v in range(n) if v != rows[x][y]] or [rows[x][y]])
         return dataclasses.replace(C, table=tuple(map(tuple, rows)))
     if field in ("dom", "cod"):
-        # ends stay objects: C.meet has no entry for any other element
+        # ends stay objects: the meet of any other element is a KeyError
         ends = list(getattr(C, field))
         ends[x] = rng.choice(objects)
         return dataclasses.replace(C, **{field: tuple(ends)})
-    if field in ("leq_r", "leq_l"):
-        return dataclasses.replace(C, **{field: _flip(getattr(C, field), x, y)})
-    meet = dict(C.meet)
-    meet[(rng.choice(objects), rng.choice(objects))] = rng.randrange(n)
-    return dataclasses.replace(C, meet=meet)
+    return dataclasses.replace(C, **{field: _flip(getattr(C, field), x, y)})
 
 
 MUTANT_BASES = ("pt:2", "b:2", "six", "ssl:chain2:z2,z3", "i2", "op:3", "z:3")
@@ -455,16 +458,22 @@ def test_rebuild_rejects_an_end_outside_the_objects_as_the_loop_does(pt2):
     assert got.value.args == expect.value.args
 
 
-def test_a_meet_missing_from_the_category_is_a_key_error(zoo_members):
-    # verify_axioms names the first missing object pair in row-major order
+def test_verify_axioms_names_the_first_end_outside_the_objects(zoo_members):
+    # EC7 reads the meets cod(x) ^ f and names the first pair outside the objects, row-major
     rng = random.Random(45)
     for name, es in zoo_members.items():
         C = build_category(es)
-        gone = sorted(rng.sample(list(C.meet), min(2, len(C.meet))))
-        bad = dataclasses.replace(C, meet={k: v for k, v in C.meet.items() if k not in gone})
+        outside = [a for a in range(C.n) if a not in C.objects]
+        if not outside:
+            continue
+        cod = C.cod.copy()
+        xs = sorted(rng.sample(range(C.n), min(2, C.n)))
+        for x in xs:
+            cod[x] = rng.choice(outside)
+        bad = dataclasses.replace(C, cod=cod)
         with pytest.raises(KeyError) as got:
             verify_axioms(bad)
-        assert got.value.args == (gone[0],), name
+        assert got.value.args == ((int(cod[xs[0]]), C.objects[0]),), name
 
 
 def test_stored_arrays_are_read_only(pt2):

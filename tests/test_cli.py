@@ -268,6 +268,20 @@ GOLDEN_REPORTS = {
 }
 
 
+# SHA-256 of the full stdout of the failing `iso` runs, which print the
+# expansion phi(a)*phi(b) of the first failing pair.
+GOLDEN_STDOUT = {
+    ("iso", "b:2"): (1, "2b99c574ff0b8107a02eca8322d9afa04bd6b15b3de4fe0ece36c8fcb70f8288"),
+    ("iso", "six"): (1, "7c78b3878adc150dc538e30aaf2f012952921acc445d4ec6484ae63b81fe730d"),
+}
+
+
+@pytest.mark.parametrize("command,spec", sorted(GOLDEN_STDOUT))
+def test_stdout_bytes_match_golden_digest(capsys, command, spec):
+    code, out, _ = run(capsys, command, "--zoo", spec)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN_STDOUT[(command, spec)]
+
+
 @pytest.mark.parametrize("command,spec", sorted(GOLDEN_REPORTS))
 def test_report_bytes_match_golden_digest(tmp_path, capsys, command, spec):
     report = tmp_path / "report.json"
@@ -275,14 +289,14 @@ def test_report_bytes_match_golden_digest(tmp_path, capsys, command, spec):
     assert (code, hashlib.sha256(report.read_bytes()).hexdigest()) == GOLDEN_REPORTS[(command, spec)]
 
 
-def test_rep_computes_each_radical_once(monkeypatch, capsys):
+def test_rep_builds_each_trace_form_once(monkeypatch, capsys):
     calls = []
-    original = reptheory.radical_oracle
-    monkeypatch.setattr(reptheory, "radical_oracle",
-                        lambda table, defined: calls.append(len(table)) or original(table, defined))
+    original = reptheory._trace_form
+    monkeypatch.setattr(reptheory, "_trace_form", lambda table, defined: calls.append(
+        "QS" if defined.all() else "QC") or original(table, defined))
     code, _, _ = run(capsys, "rep", "--zoo", "pt:2")
     assert code == 0
-    assert calls == [9, 9]  # QS once in the semisimple check, then QC in the radical span
+    assert calls == ["QS", "QC"]  # the semisimple check, then the radical span
 
 
 def test_rep_computes_green_and_invertibles_once(monkeypatch, capsys):

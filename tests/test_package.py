@@ -92,7 +92,9 @@ def test_each_path_executes_only_the_modules_it_runs(tmp_path, pt2):
     rejected = main.format(["check", "--input", "mutant.json"], 1) + \
         "; assert not {'fractions', 'decimal'} & set(sys.modules)"
     assert "categories" not in executed(rejected, tmp_path)
-    assert "reptheory" not in executed(main.format(["iso", "--zoo", "pt:2"], 0), tmp_path)
+    for argv, code in ((["iso", "--zoo", "pt:2"], 0), (["iso", "--zoo", "b:2"], 1)):
+        assert not executed(main.format(argv, code), tmp_path) & {"reptheory", "categories"}
+    assert "categories" in executed(main.format(["check", "--zoo", "pt:2"], 0), tmp_path)
     assert "algebras" not in executed(main.format(["rep", "--zoo", "pt:2"], 0), tmp_path)
     for argv in (["--setup", "zoo", "pt:3"], ["--setup", "input", "draw.json"]):
         assert not executed(setup.format(argv), tmp_path) & numeric

@@ -347,6 +347,16 @@ def test_direct_construction_copies_into_a_read_only_array():
     assert FiniteSemigroup(2, S.table).table is S.table  # a read-only int64 array is shared
 
 
+@pytest.mark.parametrize("n,table", [
+    (3, [[0, 0], [0, 0]]), (1, [[0, 0], [0, 0]]), (2, [[0, 0, 0], [0, 0, 0]]),
+    (2, np.zeros((3, 2), dtype=np.int64)), (2, [0, 0]), (0, [[0]]),
+])
+def test_direct_construction_rejects_a_table_not_n_by_n(n, table):
+    # idempotents would fail later with a broadcast error, or read a wrong n
+    with pytest.raises(ValueError, match=r"table shape \(.*\) does not match n = "):
+        FiniteSemigroup(n, table)
+
+
 def semigroup_outcome(fn, *args):
     got = outcome(fn, *args)
     if isinstance(got, FiniteSemigroup):
