@@ -27,7 +27,7 @@ import numpy as np
 from .errors import BasisMismatchError
 from .linalg import exact_matmul
 from .posets import natural_order, order_data
-from .reports import jsonable
+from .reports import record_json
 
 SEMIGROUP = "semigroup"
 CATEGORY = "category"
@@ -160,18 +160,8 @@ class IsoReport:
         return self.bijection and self.homomorphism
 
     def to_json(self):
-        return {
-            "order": self.order,
-            "n": self.n,
-            "bijection": self.bijection,
-            "bijection_witness": jsonable(self.bijection_witness),
-            "hom_case1_failures": [list(p) for p in self.case1_failures],
-            "hom_case2_failures": [list(p) for p in self.case2_failures],
-            "pairs_checked": self.pairs_checked,
-            "case1_count": self.case1_count,
-            "passed": self.passed,
-            "witness_expansion": jsonable(self.witness_expansion),
-        }
+        return record_json(self, case1_failures="hom_case1_failures",
+                           case2_failures="hom_case2_failures") | {"passed": self.passed}
 
 
 def _ranges(starts, lengths):

@@ -42,6 +42,7 @@ class EhresmannCategory:
         freeze_fields(self, dom=np.int64, cod=np.int64, table=np.int64, leq_r=bool, leq_l=bool)
 
     def composable(self, x, y):
+        _check_morphisms(self, x, y)
         return bool(self.cod[x] == self.dom[y])
 
     def compose(self, x, y):
@@ -76,8 +77,16 @@ def _category(ES):
     )
 
 
+def _check_morphisms(C, *morphisms):
+    """Raise ValueError naming the first index outside 0..n-1, which numpy would wrap or reject."""
+    for x in morphisms:
+        if not 0 <= x < C.n:
+            raise ValueError(f"morphism {x} is outside 0..{C.n - 1}")
+
+
 def restriction(C, e, x):
     """(e | x): the unique y <=_r x with dom(y) = e, realized as the product e*x."""
+    _check_morphisms(C, x)
     if e not in C.objects or not C.object_leq(e, C.dom[x]):
         raise NotBelowDomainError(e, x)
     return int(C.table[e, x])
@@ -85,6 +94,7 @@ def restriction(C, e, x):
 
 def corestriction(C, x, e):
     """(x | e): the unique y <=_l x with cod(y) = e, realized as the product x*e."""
+    _check_morphisms(C, x)
     if e not in C.objects or not C.object_leq(e, C.cod[x]):
         raise NotBelowRangeError(x, e)
     return int(C.table[x, e])

@@ -17,7 +17,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import __version__, algebras, categories, ehresmann, reptheory, semigroups, zoo
 from .errors import NotSubsemilatticeError, SemicatError
-from .reports import jsonable
+from .reports import jsonable, record_json
 
 SCHEMA_VERSION = 1
 
@@ -134,7 +134,9 @@ def cmd_check(args, ES):
         print(f"INFO  left-restriction witness (a, e) = {lw}")
     if not right:
         print(f"INFO  right-restriction witness (a, e) = {rw}")
-    _status(containment.consistent, "order-containment",
+    # left restriction forces <=_l inside <=_r, and dually
+    consistent = (containment.l_in_r or not left) and (containment.r_in_l or not right)
+    _status(consistent, "order-containment",
             f"leq_l in leq_r: {containment.l_in_r}, leq_r in leq_l: {containment.r_in_l}")
     _status(axioms.passed, "category-axioms")
     for c in axioms.failures():
@@ -149,15 +151,10 @@ def cmd_check(args, ES):
         "right_restriction": right,
         "right_restriction_witness": rw,
         "classification": _classification(left, right),
-        "order_containment": {
-            "l_in_r": containment.l_in_r,
-            "l_in_r_witness": containment.l_in_r_witness,
-            "r_in_l": containment.r_in_l,
-            "r_in_l_witness": containment.r_in_l_witness,
-        },
+        "order_containment": record_json(containment),
         "axioms": axioms.to_json(),
     }
-    passed = variety.passed and containment.consistent and axioms.passed
+    passed = variety.passed and consistent and axioms.passed
     _emit(args, payload, passed)
     return 0 if passed else 1
 

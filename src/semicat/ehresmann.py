@@ -185,18 +185,6 @@ class OrderContainment:
     l_in_r_witness: tuple | None
     r_in_l: bool
     r_in_l_witness: tuple | None
-    left_restriction: bool
-    right_restriction: bool
-
-    @property
-    def consistent(self):
-        # left restriction forces <=_l inside <=_r, and dually
-        ok = True
-        if self.left_restriction:
-            ok = ok and self.l_in_r
-        if self.right_restriction:
-            ok = ok and self.r_in_l
-        return ok
 
 
 def _containment(inner, outer):
@@ -208,9 +196,7 @@ def order_containment(ES) -> OrderContainment:
     """Containment status of the two natural orders, with witnesses."""
     l_in_r, w1 = _containment(ES.leq_l, ES.leq_r)
     r_in_l, w2 = _containment(ES.leq_r, ES.leq_l)
-    left, _ = is_left_restriction(ES)
-    right, _ = is_right_restriction(ES)
-    return OrderContainment(l_in_r, w1, r_in_l, w2, left, right)
+    return OrderContainment(l_in_r, w1, r_in_l, w2)
 
 
 MAX_IDEMPOTENTS = 24  # maximal_subsemilattices enumerates cliques on at most this many

@@ -1,7 +1,7 @@
 """Pass/fail records with counterexample certificates."""
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -47,6 +47,14 @@ def jsonable(value):
     raise TypeError(f"a report cannot hold a value of type {type(value).__name__}")
 
 
+def record_json(record, **keys):
+    """A dataclass record as a JSON object: one entry per field, through jsonable.
+
+    keys renames fields: record_json(r, is_ei="is_EI") writes r.is_ei as "is_EI".
+    """
+    return {keys.get(f.name, f.name): jsonable(getattr(record, f.name)) for f in fields(record)}
+
+
 @dataclass(frozen=True)
 class CheckResult:
     name: str
@@ -75,10 +83,4 @@ class VerificationReport:
         raise KeyError(name)
 
     def to_json(self):
-        return {
-            "passed": self.passed,
-            "checks": [
-                {"name": c.name, "passed": c.passed, "witness": jsonable(c.witness)}
-                for c in self.checks
-            ],
-        }
+        return {"passed": self.passed, "checks": [record_json(c) for c in self.checks]}

@@ -17,7 +17,7 @@ from .errors import InconsistentComputationError, NotClosedError, NotEIError
 from .ehresmann import is_left_restriction, is_right_restriction, tilde_relations
 from .linalg import rank
 from .posets import order_data
-from .reports import first_witness, jsonable
+from .reports import first_witness, record_json
 from .semigroups import green, kept
 
 
@@ -108,15 +108,7 @@ class EIReport:
     is_groupoid: bool
 
     def to_json(self):
-        return {
-            "is_EI": self.is_ei,
-            "witness": jsonable(self.witness),
-            "endomorphism_counts": {str(k): v for k, v in self.endomorphism_counts.items()},
-            "e_is_maximal_semilattice": self.e_is_maximal_semilattice,
-            "maximal_witness": self.maximal_witness,
-            "object_iso_classes": [list(c) for c in self.object_iso_classes],
-            "is_groupoid": self.is_groupoid,
-        }
+        return record_json(self, is_ei="is_EI")
 
 
 def ei_report(ES) -> EIReport:
@@ -224,14 +216,7 @@ class RadicalReport:
         return self.agrees and self.ideal_witness is None
 
     def to_json(self):
-        return {
-            "noninvertible": list(self.noninvertible),
-            "claimed_dim": self.claimed_dim,
-            "oracle_dim": self.oracle_dim,
-            "agrees": self.agrees,
-            "ideal_witness": jsonable(self.ideal_witness),
-            "nilpotency_index": self.nilpotency_index,
-        }
+        return record_json(self)
 
 
 def radical_span(ES) -> RadicalReport:
@@ -300,19 +285,8 @@ class SemisimpleReport:
         return self.semisimple_check is not False
 
     def to_json(self):
-        return {
-            "left_restriction": self.left_restriction,
-            "right_restriction": self.right_restriction,
-            "is_EI": self.is_ei,
-            "outside_theorem": self.outside_theorem,
-            "reg_e_size": self.reg_size,
-            "radical_dim": self.radical_dim_s,
-            "dims_match": self.dims_match,
-            "projection_full_rank": self.projection_full_rank,
-            "psi_image_in_span": self.psi_image_in_span,
-            "psi_image_full_rank": self.psi_image_full_rank,
-            "semisimple_check": self.semisimple_check,
-        }
+        return record_json(self, is_ei="is_EI", reg_size="reg_e_size",
+                           radical_dim_s="radical_dim")
 
 
 def semisimple_image_check(ES, order="r") -> SemisimpleReport:

@@ -85,6 +85,20 @@ def test_restriction_rejects_object_not_below(pt2):
         corestriction(C, 7, 1)
 
 
+def test_indices_outside_the_morphisms_are_value_errors(pt2):
+    # numpy would read -1 as morphism 8 and raise a bare IndexError on 9
+    C = build_category(pt2)
+    assert C.n == 9 and 8 in C.objects
+    for call, bad in [(lambda: restriction(C, 8, -1), -1), (lambda: restriction(C, 8, 9), 9),
+                      (lambda: corestriction(C, -1, 8), -1), (lambda: corestriction(C, 9, 8), 9),
+                      (lambda: C.compose(-1, -1), -1), (lambda: C.compose(0, 9), 9),
+                      (lambda: C.composable(8, -1), -1),
+                      (lambda: restriction(C, 0, 99), 99)]:
+        with pytest.raises(ValueError, match=rf"morphism {bad} is outside 0\.\.8"):
+            call()
+    assert restriction(C, 8, 8) == 8 and corestriction(C, 8, 8) == 8 and C.compose(8, 8) == 8
+
+
 def test_axioms_pass_for_all_zoo_members(zoo_members):
     for name, es in zoo_members.items():
         report = verify_axioms(build_category(es))

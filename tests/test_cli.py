@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from semicat import categories, cli, reptheory, semigroups, to_interchange
+from semicat import categories, cli, ehresmann, reptheory, semigroups, to_interchange
 from semicat import zoo
 from semicat.cli import main
 from semicat.reports import jsonable
@@ -265,6 +265,9 @@ GOLDEN_REPORTS = {
     ("check", "op:4"): (0, "8d764b7c5bccfdd87eb7f4a159aee351e233463a74686a21dc5bf7b2515d685e"),
     ("iso", "op:4"): (0, "e0c62ebae63874d80c7459a00cc913f1603fe1208101b3e6fade3e35af61cab1"),
     ("rep", "op:4"): (0, "6bbfc13bf63b529914c3f53584586e0b1f14edbf9c52db54c4079d9c9c17dc34"),
+    # not EI: an EI witness, and semisimple_check null outside the theorem
+    ("rep", "b:2"): (0, "b37f5113ca4e626b86dc248bec05233924df08fe29dfc86f4fdf2f5f0be93f9a"),
+    ("rep", "t:3"): (0, "b1d01fbd6dfbfd25add5b65743b5b770d5d3d467db8c4158c4258ce5d8a169a0"),
 }
 
 
@@ -287,6 +290,16 @@ def test_report_bytes_match_golden_digest(tmp_path, capsys, command, spec):
     report = tmp_path / "report.json"
     code, _, _ = run(capsys, command, "--zoo", spec, "--report", str(report))
     assert (code, hashlib.sha256(report.read_bytes()).hexdigest()) == GOLDEN_REPORTS[(command, spec)]
+
+
+def test_check_sweeps_each_restriction_once(monkeypatch, capsys):
+    calls = []
+    original = ehresmann._restriction
+    monkeypatch.setattr(ehresmann, "_restriction",
+                        lambda *args: calls.append(args) or original(*args))
+    code, _, _ = run(capsys, "check", "--zoo", "op:4")
+    assert code == 0
+    assert len(calls) == 2  # left, then right; the containment check reuses both
 
 
 def test_rep_builds_each_trace_form_once(monkeypatch, capsys):

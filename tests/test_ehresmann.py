@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -261,13 +262,24 @@ def test_six_element_restriction_witnesses_from_the_drawing(six):
 
 def test_order_containment(pt2, b2, i2):
     pt = order_containment(pt2)
-    assert pt.left_restriction and pt.l_in_r and pt.consistent
+    assert [f.name for f in dataclasses.fields(pt)] == \
+        ["l_in_r", "l_in_r_witness", "r_in_l", "r_in_l_witness"]
+    assert pt.l_in_r and pt.l_in_r_witness is None
     inv = order_containment(i2)
     assert inv.l_in_r and inv.r_in_l
     bb = order_containment(b2)
     assert not bb.l_in_r and bb.l_in_r_witness is not None
     a, b = bb.l_in_r_witness
     assert b2.leq_l[a][b] and not b2.leq_r[a][b]
+
+
+def test_order_containment_runs_no_restriction_sweep(monkeypatch, pt2):
+    calls = []
+    original = ehresmann._restriction
+    monkeypatch.setattr(ehresmann, "_restriction",
+                        lambda *args: calls.append(args) or original(*args))
+    order_containment(pt2)
+    assert calls == []
 
 
 def test_natural_order_properties(zoo_members):

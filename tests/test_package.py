@@ -1,3 +1,4 @@
+import importlib.metadata
 import json
 import os
 import re
@@ -128,3 +129,17 @@ def test_readme_quick_tour_runs():
     done = subprocess.run([sys.executable, "-c", tour], env=fresh_env(),
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def test_console_script_exits_with_the_verdict(monkeypatch, capsys):
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    with open(os.path.join(ROOT, "pyproject.toml"), "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    console = importlib.metadata.EntryPoint(
+        name="semicat", value=scripts["semicat"], group="console_scripts").load()
+    for argv, code in [(["check", "--zoo", "six"], 0), (["check", "--zoo", ""], 2)]:
+        monkeypatch.setattr(sys, "argv", ["semicat", *argv])
+        with pytest.raises(SystemExit) as stop:
+            console()
+        assert stop.value.code == code
+    assert "unknown zoo spec" in capsys.readouterr().err
