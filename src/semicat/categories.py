@@ -51,6 +51,10 @@ class EhresmannCategory:
         return int(self.table[x, y])
 
     def object_leq(self, e, f):
+        """e <= f in the semilattice of objects; ValueError if e or f is not an object."""
+        for x in (e, f):
+            if x not in self.objects:
+                raise ValueError(f"{x} is not an object")
         return bool(self.leq_r[e, f])
 
     def __repr__(self):

@@ -6,6 +6,7 @@ a fixed configuration: keys are sorted and nothing time-dependent is embedded.
 """
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -266,6 +267,13 @@ def main(argv=None) -> int:
     except InputError as err:
         print(f"ERROR  {err}", file=sys.stderr)
         return 2
+    finally:
+        # Moves every object alive now, numpy's import-time heap among them,
+        # out of reach of the cyclic collector, so the collections the
+        # interpreter runs at exit do not traverse it.  In-process callers
+        # keep refcount freeing; report files are closed when written, and
+        # stdout is flushed at exit as before.
+        gc.freeze()
 
 
 def console():

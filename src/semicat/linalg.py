@@ -23,7 +23,6 @@ deterministic (first nonzero by index) so downstream reports are byte-stable.
 
 import math
 import operator
-from fractions import Fraction
 
 import numpy as np
 
@@ -142,6 +141,8 @@ def _reconstruct(x, p):
         r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
     if abs(s1) > bound or math.gcd(r1, s1) != 1:
         return None
+    from fractions import Fraction  # imported only where a Fraction is built
+
     return Fraction(r1, s1)
 
 
@@ -186,6 +187,8 @@ def _kernel(a):
 
 def rational_nullspace(matrix):
     """Kernel basis by Fraction elimination: the fallback and reference route."""
+    from fractions import Fraction
+
     rows = [[Fraction(x) for x in row] for row in matrix]
     if not rows:
         return []
@@ -218,6 +221,8 @@ def rank(matrix) -> int:
 
 def nullspace(matrix):
     """Basis of {x : A x = 0} for an integer matrix A given as rows; vectors are Fraction tuples."""
+    from fractions import Fraction
+
     a = _integer_array(matrix)
     kernel = _kernel(a)
     if kernel is None:

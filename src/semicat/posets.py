@@ -1,7 +1,6 @@
 """Finite posets, their integer Moebius matrices and exact Moebius inversion."""
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -90,6 +89,8 @@ def moebius(P) -> np.ndarray:
 
 def sum_down(P, f):
     """g(x) = sum of f(y) over y <= x, as the exact product f Z."""
+    from fractions import Fraction  # imported only where a Fraction is built
+
     return (np.array([Fraction(v) for v in f], dtype=object) @ P.zeta).tolist()
 
 
@@ -98,6 +99,8 @@ def invert(P, g, mu=None):
 
     `mu` is the matrix moebius(P) returns, computed when not given.
     """
+    from fractions import Fraction
+
     mu = moebius(P) if mu is None else mu
     return (np.array([Fraction(v) for v in g], dtype=object) @ mu).tolist()
 

@@ -13,6 +13,7 @@ from .errors import NotAssociativeError, NotClosedError, OutOfRangeError
 from .reports import first_witness
 
 ELEMENTS_MAX = 7776  # |PT_5|, the largest zoo member; larger inputs never reach validate
+LIGHT_BLOCK = 1 << 22  # entries of one temporary of Light's test (32 MiB of int64)
 
 
 def freeze_fields(obj, **dtypes):
@@ -64,10 +65,10 @@ def validate(table, names=None) -> FiniteSemigroup:
     `table` is a list of rows or a square integer array.  Raises ValueError
     (empty table, a row of the wrong length, a non-integer entry) or
     OutOfRangeError for the first bad row or entry in row-major order, then
-    ValueError for names of the wrong length (before the O(n^3) sweep), then
+    ValueError for names of the wrong length (before the associativity test), then
     NotAssociativeError with the lexicographically first failing triple;
-    otherwise returns the validated semigroup, which keeps the result of its
-    associativity sweep (see associativity_failure).
+    otherwise returns the validated semigroup, which keeps its generating
+    set and the result of its associativity test (see associativity_failure).
     """
     n = len(table)
     if n == 0:
@@ -96,21 +97,36 @@ def validate(table, names=None) -> FiniteSemigroup:
         names = tuple(str(x) for x in names)
         if len(names) != n:
             raise ValueError("names length does not match table size")
-    bad = associativity_witness(t)
-    if bad:
-        raise NotAssociativeError(bad["x"], bad["y"], bad["z"])
     t.flags.writeable = False  # t is a fresh copy, so the semigroup can keep it as it is
     S = FiniteSemigroup(n, t, names)
-    vars(S)["_associativity_failure"] = None
+    bad = associativity_failure(S)
+    if bad:
+        raise NotAssociativeError(bad["x"], bad["y"], bad["z"])
     return S
 
 
 def associativity_failure(S):
-    """associativity_witness of S's table, swept once per semigroup.
+    """The first (x, y, z) in row-major order with (xy)z != x(yz), or None, kept per semigroup.
 
-    validate keeps its own sweep's result, so a validated table is never swept twice.
+    Light's test (Clifford & Preston, Vol. 1, 1.2): if G generates S and
+    (xg)z = x(gz) for all x, z in S and g in G, then S is associative, as
+    the g with that property are closed under the product.  So each g in
+    generators(S) is checked on all (x, z), and only a table that fails for
+    some g is swept exhaustively, for the lexicographically first triple.
     """
-    return kept(S, "_associativity_failure", lambda S: associativity_witness(S.table))
+    return kept(S, "_associativity_failure", _associativity_failure)
+
+
+def _associativity_failure(S):
+    t, n = S.table, S.n
+    step = max(1, LIGHT_BLOCK // n)  # rows per block, so no temporary exceeds LIGHT_BLOCK entries
+    for g in generators(S).tolist():
+        tg = t[g]
+        for lo in range(0, n, step):
+            rows = slice(lo, lo + step)
+            if (t[t[rows, g]] != t[rows, tg]).any():  # (xg)z against x(gz)
+                return associativity_witness(t)
+    return None
 
 
 def associativity_witness(t):
@@ -128,6 +144,47 @@ def associativity_witness(t):
         if found:
             return {"x": x, **found}
     return None
+
+
+def generators(S):
+    """A set G of elements that generates S, as an int64 array, kept per semigroup.
+
+    Every element of S is a left-normed product ((g1 g2) g3)... of elements
+    of G, checked on the table without assuming associativity: the closure
+    of G under right multiplication by G reaches all n elements.  Elements
+    are taken greedily in descending order of |aS| + |Sa| (ties by index),
+    each only if the closure of those before it has not reached it.
+    """
+    return kept(S, "_generators", lambda S: _generating_set(S.table))
+
+
+def _generating_set(t):
+    n = len(t)
+    # |aS| - 1 and |Sa| - 1: the changes between neighbours in sorted rows and columns
+    rows, columns = np.sort(t, axis=1), np.sort(t, axis=0)
+    size = (rows[:, 1:] != rows[:, :-1]).sum(axis=1) + (columns[1:] != columns[:-1]).sum(axis=0)
+    reached = np.zeros(n, dtype=bool)
+    G = []
+    for a in np.argsort(-size, kind="stable").tolist():
+        if reached[a]:
+            continue
+        G.append(a)
+        # the new left-normed words are a, the words already reached times a,
+        # and these times the generators, until nothing new is reached
+        new = np.zeros(n, dtype=bool)
+        new[t[reached, a]] = True
+        new[a] = True
+        new &= ~reached
+        while new.any():
+            reached |= new
+            products = np.zeros(n, dtype=bool)
+            products[t[new][:, G]] = True
+            new = products & ~reached
+        if reached.all():
+            break
+    G = np.array(G, dtype=np.int64)
+    G.flags.writeable = False
+    return G
 
 
 def _is_index_type(kind):
@@ -294,7 +351,7 @@ def to_interchange(S, E=None) -> dict:
 def from_interchange(obj):
     """Parse and validate the interchange object; returns (semigroup, E or None).
 
-    Every field, E's range included, is checked before validate's O(n^3) sweep.
+    Every field, E's range included, is checked before validate's associativity test.
     """
     if not isinstance(obj, dict) or "table" not in obj:
         raise ValueError("interchange object must be a dict with a 'table' field")

@@ -18,6 +18,7 @@ from semicat import (
     mul_semigroup,
     phi,
     psi,
+    semigroups,
     subsemigroup,
     unit,
     verify_isomorphism,
@@ -25,7 +26,10 @@ from semicat import (
 )
 from semicat.algebras import _mul_partial
 from semicat.cli import main
+from semicat.ehresmann import EhresmannStructure
 from semicat.errors import BasisMismatchError
+from semicat.posets import natural_order
+from semicat.semigroups import FiniteSemigroup
 
 A, B, EMPTY = 3, 1, 0  # in B_2: {(1,1),(1,2)}, {(1,1)}, {}
 
@@ -303,6 +307,7 @@ def assert_sweep_matches_reference(es):
     for order in ("r", "l"):
         fast = verify_isomorphism(es, order=order).to_json()
         with pytest.MonkeyPatch.context() as m:
+            m.setattr(algebras, "_multiplicative_on_generators", lambda es, leq: False)
             m.setattr(algebras, "_hom_sweep", reference_hom_sweep)
             reference = verify_isomorphism(es, order=order).to_json()
         assert fast == reference
@@ -365,6 +370,52 @@ def test_hom_sweep_matches_reference_on_b2_subsemigroups(b2, generators):
     sub = closed_subsemigroup(b2, [A, B, *generators])
     reports = assert_sweep_matches_reference(sub)
     assert reports["r"]["hom_case2_failures"]
+
+
+def generator_rows_pass(es, leq):
+    """phi(a)phi(g) = phi(ag) for every a and every g in generators(S), without the guards."""
+    G = semigroups.generators(es.S).tolist()
+    return next(algebras._hom_failures(es.S.table.T, es.plus, es.star, leq, G), None) is None
+
+
+def changed_structures(es):
+    """es with one +, * or table entry changed, built directly: nothing is derived or validated."""
+    fields = {"S": es.S, "E": es.E, "plus": es.plus, "star": es.star,
+              "leq_r": es.leq_r, "leq_l": es.leq_l}
+    for name in ("plus", "star"):
+        for a in range(es.n):
+            for e in es.E:
+                ends = getattr(es, name).copy()
+                if ends[a] != e:
+                    ends[a] = e
+                    yield EhresmannStructure(**{**fields, name: ends})
+    for a, b in np.ndindex(es.n, es.n):
+        t = es.S.table.copy()
+        t[a, b] = (t[a, b] + 1) % es.n
+        yield EhresmannStructure(**{**fields, "S": FiniteSemigroup(es.n, t)})
+
+
+@pytest.mark.parametrize("spec", ["pt:2", "ssl:chain2:z2,z3"])
+def test_generator_pass_matches_the_full_sweep_on_changed_structures(spec):
+    # a changed end can break QC's associativity, and a changed entry S's: the
+    # generator rows may then pass while other pairs fail, which only the
+    # full sweep sees
+    guarded = 0
+    for es in changed_structures(zoo.parse_zoo_spec(spec)):
+        reports = assert_sweep_matches_reference(es)
+        for order in "rl":
+            failed = reports[order]["hom_case1_failures"] or reports[order]["hom_case2_failures"]
+            guarded += bool(failed) and generator_rows_pass(es, natural_order(es, order))
+    assert guarded
+
+
+@pytest.mark.parametrize("spec", ["six", "b:2", "pt:2", "pt:3", "op:4", "t:3"])
+def test_generator_pass_decides_as_the_full_sweep_on_the_zoo(spec):
+    es = zoo.parse_zoo_spec(spec)
+    for order in "rl":
+        leq = natural_order(es, order)
+        case1, case2 = algebras._hom_sweep(es.S.table, es.star, es.plus, leq)
+        assert algebras._multiplicative_on_generators(es, leq) == (not case1 and not case2)
 
 
 def test_unit_is_two_sided_identity(pt2):

@@ -85,6 +85,16 @@ def test_restriction_rejects_object_not_below(pt2):
         corestriction(C, 7, 1)
 
 
+def test_object_leq_rejects_what_is_not_an_object(pt2):
+    C = build_category(pt2)
+    assert C.objects == (1, 2, 7, 8)
+    assert C.object_leq(8, 1) and not C.object_leq(1, 8)
+    # -1 would read as object 8, 9 is past the end, and 0 is a morphism only
+    for e, f in ((-1, 8), (8, -1), (9, 0), (0, 1), (1, 0)):
+        with pytest.raises(ValueError, match="not an object"):
+            C.object_leq(e, f)
+
+
 def test_indices_outside_the_morphisms_are_value_errors(pt2):
     # numpy would read -1 as morphism 8 and raise a bare IndexError on 9
     C = build_category(pt2)

@@ -9,10 +9,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from semicat import categories, cli, ehresmann, reptheory, semigroups, to_interchange
+from semicat import algebras, categories, cli, ehresmann, reptheory, semigroups, to_interchange
 from semicat import zoo
 from semicat.cli import main
 from semicat.reports import jsonable
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def run(capsys, *argv):
@@ -276,6 +278,7 @@ GOLDEN_REPORTS = {
 GOLDEN_STDOUT = {
     ("iso", "b:2"): (1, "2b99c574ff0b8107a02eca8322d9afa04bd6b15b3de4fe0ece36c8fcb70f8288"),
     ("iso", "six"): (1, "7c78b3878adc150dc538e30aaf2f012952921acc445d4ec6484ae63b81fe730d"),
+    ("rep", "pt:3"): (0, "06dc20c60606702e0a51cbeb5382a49f4db86857891de8269069b818f3a2546a"),
 }
 
 
@@ -333,6 +336,21 @@ def test_python_dash_m_runs_the_cli():
     assert "PASS  category-axioms" in done.stdout
 
 
+@pytest.mark.parametrize("command,spec", [("iso", "b:2"), ("rep", "pt:3")])
+def test_a_fresh_process_loses_no_output_at_exit(tmp_path, command, spec):
+    # stdout on a pipe is block-buffered, so the process must flush it at exit,
+    # after main has frozen the collector's generations
+    report = tmp_path / "report.json"
+    done = subprocess.run([sys.executable, "-m", "semicat", command, "--zoo", spec,
+                           "--report", str(report)],
+                          env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")),
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, timeout=120)
+    assert done.stderr == b""
+    code = done.returncode
+    assert (code, hashlib.sha256(done.stdout).hexdigest()) == GOLDEN_STDOUT[(command, spec)]
+    assert (code, hashlib.sha256(report.read_bytes()).hexdigest()) == GOLDEN_REPORTS[(command, spec)]
+
+
 def test_traced_benchmark_operations_record_their_spans(tmp_path):
     # the benchmark's op.py wraps public functions from outside: it hashes the
     # poset moebius receives and reads rank/nullspace arguments as row lists
@@ -376,15 +394,33 @@ def test_oversized_interchange_input_is_an_input_error(tmp_path, capsys):
     assert "7776" in err
 
 
+def spy(monkeypatch, module, name, calls):
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(name) or original(*args))
+
+
 def test_check_sweeps_associativity_once(monkeypatch, capsys):
-    # validate proves the table associative; variety identity 11 reads that result
+    # validate proves the table associative by Light's test over one generating
+    # set; variety identity 11 reads that result, and no exhaustive sweep runs
     calls = []
-    original = semigroups.associativity_witness
-    monkeypatch.setattr(semigroups, "associativity_witness",
-                        lambda t: calls.append(len(t)) or original(t))
+    for name in ("associativity_witness", "_associativity_failure", "_generating_set"):
+        spy(monkeypatch, semigroups, name, calls)
     code, _, _ = run(capsys, "check", "--zoo", "op:4")
     assert code == 0
-    assert calls == [192]
+    assert sorted(calls) == ["_associativity_failure", "_generating_set"]
+
+
+def test_passing_iso_runs_no_exhaustive_sweep(monkeypatch, capsys):
+    calls = []
+    spy(monkeypatch, semigroups, "associativity_witness", calls)
+    spy(monkeypatch, algebras, "_hom_sweep", calls)
+    code, out, _ = run(capsys, "iso", "--zoo", "op:4")
+    assert code == 0
+    assert "PASS  homomorphism: 36864 pairs" in out
+    assert calls == []
+    code, _, _ = run(capsys, "iso", "--zoo", "op:4", "--order", "l")  # fails: one full sweep
+    assert code == 1
+    assert calls == ["_hom_sweep"]
 
 
 def test_rep_builds_the_category_and_ei_report_once(monkeypatch, capsys, tmp_path):

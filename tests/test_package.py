@@ -99,6 +99,11 @@ def test_each_path_executes_only_the_modules_it_runs(tmp_path, pt2):
     assert "algebras" not in executed(main.format(["rep", "--zoo", "pt:2"], 0), tmp_path)
     for argv in (["--setup", "zoo", "pt:3"], ["--setup", "input", "draw.json"]):
         assert not executed(setup.format(argv), tmp_path) & numeric
+    # a passing verdict builds no Fraction and calls no bare np.unique, which imports numpy.ma
+    untouched = "; assert not {'fractions', 'numpy.ma'} & set(sys.modules)"
+    for source in (["--zoo", "pt:2"], ["--input", "draw.json"]):
+        for command in ("check", "iso", "rep"):
+            executed(main.format([command, *source], 0) + untouched, tmp_path)
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task") or len(os.sched_getaffinity(0)) < 2,

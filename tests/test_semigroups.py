@@ -512,6 +512,55 @@ def semigroup_mutants(zoo_members, seed, count):
     return associative, arbitrary
 
 
+def left_normed_closure(t, G):
+    """Every left-normed product ((g1 g2) g3)... of elements of G in the table t, ascending."""
+    t, words = t.tolist(), set(G)
+    frontier = words
+    while frontier:
+        frontier = {t[w][g] for w in frontier for g in G} - words
+        words |= frontier
+    return sorted(words)
+
+
+def test_generators_generate_and_none_is_redundant(zoo_members):
+    associative, arbitrary = semigroup_mutants(zoo_members, 17, 60)
+    members = [es.S for es in zoo_members.values()] + [zoo.parse_zoo_spec("op:4").S]
+    for S in members + associative + arbitrary:
+        G = semigroups.generators(S).tolist()
+        assert left_normed_closure(S.table, G) == list(range(S.n))
+        for i, g in enumerate(G):  # each is taken only if those before it do not reach it
+            assert g not in left_normed_closure(S.table, G[:i])
+
+
+def test_light_test_matches_the_exhaustive_sweep(zoo_members):
+    associative, arbitrary = semigroup_mutants(zoo_members, 23, 150)
+    middle_outside = 0
+    for S in [es.S for es in zoo_members.values()] + associative + arbitrary:
+        fresh = FiniteSemigroup(S.n, S.table)  # nothing kept yet
+        found = semigroups.associativity_failure(fresh)
+        assert found == semigroups.associativity_witness(S.table)
+        middle_outside += found is not None and found["y"] not in semigroups.generators(fresh)
+    # the first failing triple need not have a generator in the middle: Light's
+    # test only detects the failure, and the exhaustive sweep names the triple
+    assert middle_outside
+
+
+def test_light_test_finds_a_break_at_one_middle_factor():
+    # the identity u of op:3 is a product only as u*u; changing that entry breaks
+    # only the triples (x, u, z), so every generating set must hold u
+    S = zoo.parse_zoo_spec("op:3").S
+    u = identity_of(S)
+    for c in range(S.n):
+        t = S.table.copy()
+        t[u, u] = c
+        middles = set(np.nonzero(t[t] != t[:, t])[1].tolist())
+        assert middles == (set() if c == u else {u})
+        T = FiniteSemigroup(S.n, t)
+        assert u in semigroups.generators(T)
+        assert semigroups.associativity_failure(T) == semigroups.associativity_witness(t)
+        assert (semigroups.associativity_failure(T) is None) == (c == u)
+
+
 def test_green_matches_the_union_find(zoo_members):
     associative, _ = semigroup_mutants(zoo_members, 31, 60)
     semigroups = [es.S for es in zoo_members.values()] + associative
