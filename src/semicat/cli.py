@@ -97,6 +97,10 @@ def _run(args):
     for path in filter(None, (args.report, args.emit_category)):
         if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
             raise InputError(f"cannot write {path}: a directory, or its directory is missing")
+    # the report is written last and would overwrite the category dump
+    if args.report and args.emit_category and \
+            os.path.realpath(args.report) == os.path.realpath(args.emit_category):
+        raise InputError(f"--report and --emit-category both name {args.report}")
     ES, failure = _load(args)
     if ES is None:
         _status(False, "ehresmann-structure", str(failure))

@@ -127,30 +127,31 @@ def _plus_failures(t, p):
     """Failing instances of the five identities on +, indexed by x or by (x, y).
 
     On the opposite table with * for + these are the five identities on *
-    with x and y exchanged, so the caller transposes them.
+    with x and y exchanged, so the caller transposes them.  The masks come
+    one at a time, and each gather is dropped once its masks are made.
     """
     arange = np.arange(len(t))
+    yield t[p, arange] != arange
     pp = t[p[:, None], p]       # x+ y+
+    yield p[pp] != pp
+    yield pp != pp.T
+    del pp
     xy = p[t]                   # (xy)+
-    return [
-        t[p, arange] != arange,
-        p[pp] != pp,
-        pp != pp.T,
-        t[p[:, None], xy] != xy,
-        xy != p[t[:, p]],
-    ]
+    yield t[p[:, None], xy] != xy
+    yield xy != p[t[:, p]]
 
 
 def check_variety(S, plus, star) -> VerificationReport:
     """Exhaustively sweep the thirteen defining identities for given +/* maps.
 
     The maps may be arbitrary assignments; each identity is reported with its
-    lexicographically first failing instance.
+    lexicographically first failing instance.  One identity's mask is held at
+    a time: each is dropped once its witness is read.
     """
     t = S.table
     p, s = np.asarray(plus, dtype=np.int64), np.asarray(star, dtype=np.int64)
-    masks = _plus_failures(t, p) + [m.T for m in _plus_failures(t.T, s)]
-    witnesses = [first_witness(m, ("x", "y")) for m in masks]
+    witnesses = [first_witness(m, ("x", "y")) for m in _plus_failures(t, p)]
+    witnesses += [first_witness(m.T, ("x", "y")) for m in _plus_failures(t.T, s)]
     witnesses += [associativity_failure(S), first_witness(s[p] != p, ("x",)),
                   first_witness(p[s] != s, ("x",))]
     report = VerificationReport()

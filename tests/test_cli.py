@@ -84,6 +84,25 @@ def test_unwritable_output_path_fails_before_the_input_is_loaded(
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("second", ["same", "dot-segment", "symlink"])
+def test_report_and_emit_category_on_one_file_fail_before_the_input_is_loaded(
+        tmp_path, capsys, monkeypatch, second):
+    # the report, written last, would silently overwrite the category dump
+    loaded = []
+    monkeypatch.setattr(zoo, "parse_zoo_spec", loaded.append)
+    path = tmp_path / "out.json"
+    other = {"same": path, "dot-segment": tmp_path / "." / "out.json",
+             "symlink": tmp_path / "link.json"}[second]
+    if second == "symlink":
+        other.symlink_to(path)
+    code, out, err = run(capsys, "check", "--zoo", "pt:2", "--report", str(path),
+                         "--emit-category", str(other))
+    assert (code, out) == (2, "")
+    assert f"--report and --emit-category both name {path}" in err
+    assert loaded == []
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("field,value", [
     ("E", "01"), ("E", ["0", 1.9]), ("E", [True, 1]), ("names", "ab"),
 ])

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -536,6 +537,22 @@ def reference_containment(inner, outer):
             if inner[a][b] and not outer[a][b]:
                 return False, (a, b)
     return True, None
+
+
+def test_check_variety_holds_one_identity_mask_at_a_time():
+    # all ten n^2 masks with the x+ y+ and (xy)+ gathers, held at once, came to
+    # 4.9 tables above entry on op:4; one mask at a time, to about 3.1
+    op4 = zoo.parse_zoo_spec("op:4")
+    check_variety(op4.S, op4.plus, op4.star)  # associativity is kept per semigroup
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        report = check_variety(op4.S, op4.plus, op4.star)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak <= 3.5 * op4.S.table.nbytes
 
 
 def assert_checks_match_the_loops(es):

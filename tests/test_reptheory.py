@@ -1,4 +1,6 @@
+import os
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +11,9 @@ from hypothesis import strategies as st
 from semicat import (
     basis_element,
     build_category,
+    derive_structure,
     ei_report,
+    from_interchange,
     green,
     invertible_morphisms,
     is_ei,
@@ -21,7 +25,7 @@ from semicat import (
     semisimple_image_check,
     validate,
 )
-from semicat import algebras, reptheory, zoo
+from semicat import algebras, cli, reptheory, zoo
 from semicat.ehresmann import EhresmannStructure
 from semicat.errors import (
     InconsistentComputationError,
@@ -30,12 +34,14 @@ from semicat.errors import (
     SemicatError,
 )
 from semicat.linalg import nullspace, rank
-from semicat.posets import order_data
+from semicat.posets import natural_order, order_data
 from semicat.reptheory import EIReport, RadicalReport, RegESet
 from semicat.semigroups import FiniteSemigroup
 from test_ehresmann import reference_tilde_relations
 from test_linalg import rational_rank
 from test_semigroups import reference_green
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def brute_force_invertibles(es, C):
@@ -725,3 +731,113 @@ def test_psi_image_matches_the_loop(zoo_members, monkeypatch):
                 m.setattr(module, "order_data", lambda ES, order="r": mu)
             check(es, order)
     assert kinds == {(True, True), (True, False), (False, False)}
+
+
+# --- the kernel certificate for dim Rad(QS) against the three eliminations ---------
+
+
+def draw_structures(monkeypatch, seeds):
+    """The unmutated input-random draws of perfbench/draws.py, derived."""
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    import draws
+
+    for seed in seeds:
+        for _, obj, is_mutant in draws.random_inputs(seed):
+            if not is_mutant:
+                yield derive_structure(*from_interchange(obj))
+
+
+def test_certified_radical_matches_the_forced_fallback(zoo_members, monkeypatch):
+    # with both unitriangularity checks failing, the three eliminations run
+    members = {**zoo_members, "t:3": zoo.parse_zoo_spec("t:3"), "op:4": zoo.parse_zoo_spec("op:4")}
+    structures = [*members.values(), *draw_structures(monkeypatch, (1, 2)),
+                  *structure_mutants(zoo_members, 45, 180)]
+    eliminated = []
+    original = reptheory._radical_dim
+    monkeypatch.setattr(reptheory, "_radical_dim",
+                        lambda form: eliminated.append(True) or original(form))
+    routes = set()
+    for es in structures:
+        for order in ("r", "l"):
+            eliminated.clear()
+            got = outcome(semisimple_image_check, es, order)
+            if kind_of(got) == "ok":
+                routes.add(not eliminated)
+            with monkeypatch.context() as m:
+                m.setattr(reptheory, "_unitriangular", lambda *args: False)
+                assert got == outcome(semisimple_image_check, es, order)
+    assert routes == {True, False}
+
+
+def test_certificate_needs_each_of_its_checks(zoo_members, monkeypatch):
+    # zero psi columns solve the radical equations but are not independent, and
+    # a Reg_E naming one element too many leaves its block of the form singular:
+    # each makes n - |Reg_E| wrong.  Two equal psi columns of Reg_E, each with a
+    # 1 in the other's row, make a singular block with unit diagonal that is
+    # nonzero only between elements of equal down-set size.  Each must send the
+    # check to elimination.
+    wrong = set()
+
+    def compare(es, order, m):
+        got = semisimple_image_check(es, order)
+        with monkeypatch.context() as forced:
+            forced.setattr(reptheory, "_unitriangular", lambda *args: False)
+            assert got == semisimple_image_check(es, order)
+        if got.radical_dim_s != es.n - got.reg_size or not got.psi_image_full_rank:
+            wrong.add(m)
+
+    for es in zoo_members.values():
+        reg = reg_e(es)
+        rest = [x for x in range(es.n) if x not in reg.elements]
+        for order in ("r", "l"):
+            down = natural_order(es, order).sum(axis=0)
+            pairs = [(a, b) for a in reg.elements for b in reg.elements
+                     if a < b and down[a] == down[b]]
+            patches = []
+            if rest:
+                mu = order_data(es, order).copy()
+                mu[:, rest] = 0
+                patches.append(("zero columns", "order_data", lambda ES, order="r", mu=mu: mu))
+                wider = RegESet(tuple(sorted(reg.elements + (rest[0],))), reg.inverse_map)
+                patches.append(("one more element", "reg_e", lambda ES, wider=wider: wider))
+            if pairs:
+                (a, b), mu = pairs[0], order_data(es, order).copy()
+                mu[:, b] = mu[:, a]
+                mu[b, [a, b]] = 1
+                patches.append(("equal columns", "order_data", lambda ES, order="r", mu=mu: mu))
+            for kind, name, patch in patches:
+                with monkeypatch.context() as m:
+                    m.setattr(reptheory, name, patch)
+                    compare(es, order, kind)
+    assert wrong == {"zero columns", "one more element", "equal columns"}
+
+
+def test_rep_op4_ranks_no_matrix_wider_than_reg_e(monkeypatch, capsys):
+    # the parent eliminated QS's 193 x 192 trace form; now the widest rank is
+    # the Reg_E x Reg_E block (|Reg_E| = 70), beside QC's 71 x 70 nonzero block
+    widths = []
+
+    def spy(rows):
+        widths.append(len(rows[0]))
+        return rank(rows)
+
+    monkeypatch.setattr(reptheory, "rank", spy)
+    assert cli.main(["rep", "--zoo", "op:4"]) == 0
+    assert "PASS  semisimple-image: dim Rad(QS) = 122" in capsys.readouterr().out
+    assert widths and max(widths) == 70
+
+
+def test_semisimple_image_check_memory_on_op4():
+    op4 = zoo.parse_zoo_spec("op:4")
+    semisimple_image_check(op4)  # Reg_E, EI and the Moebius matrix are kept per structure
+    form_bytes = (op4.n + 1) * op4.n * 8
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        semi = semisimple_image_check(op4)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert semi.semisimple_check is True and semi.radical_dim_s == 192 - 70
+    # the parent, eliminating the whole form, peaked at about 6 forms above entry
+    assert peak <= 3.5 * form_bytes
