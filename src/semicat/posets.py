@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotAPosetError
+from .errors import InconsistentComputationError, NotAPosetError
 from .linalg import exact_matmul
 from .reports import first_witness
 from .semigroups import freeze_fields, kept
@@ -74,17 +74,20 @@ def _inverse_zeta(leq, dtype):
 def moebius(P) -> np.ndarray:
     """Moebius matrix of a finite poset, mu[x, y] = mu(x, y): the inverse of its zeta matrix.
 
-    Entries with x not <= y are 0.  The inverse is computed in int64 and
-    accepted once Z M = I is verified exactly: Z is invertible, so an inverse
-    that wrapped around in int64 fails the check.  It is then recomputed in
-    Python ints (object dtype), where no check is needed.  The result is
-    read-only.
+    Entries with x not <= y are 0.  The inverse is computed in int64, then,
+    if it fails Z M = I exactly (as one that wrapped around does), in Python
+    ints (object dtype); it is returned, read-only, only once Z M = I holds,
+    and InconsistentComputationError is raised otherwise.  Readers rely on
+    that certificate: M Z = I follows for square matrices, and M, the inverse
+    of a zeta matrix, has every principal block unitriangular in down-set
+    order.
     """
-    mu = _inverse_zeta(P.zeta, np.int64)
-    if not (exact_matmul(P.zeta, mu) == np.eye(P.m, dtype=np.int64)).all():
-        mu = _inverse_zeta(P.zeta, object)
-    mu.flags.writeable = False
-    return mu
+    for dtype in (np.int64, object):
+        mu = _inverse_zeta(P.zeta, dtype)
+        if (exact_matmul(P.zeta, mu) == np.eye(P.m, dtype=np.int64)).all():
+            mu.flags.writeable = False
+            return mu
+    raise InconsistentComputationError("Moebius matrix", {"check": "Z M = I"})
 
 
 def sum_down(P, f):

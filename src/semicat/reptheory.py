@@ -16,7 +16,7 @@ import numpy as np
 from .errors import InconsistentComputationError, NotClosedError, NotEIError
 from .ehresmann import is_left_restriction, is_right_restriction, tilde_relations
 from .linalg import exact_matmul, rank
-from .posets import natural_order, order_data
+from .posets import order_data
 from .reports import first_witness, record_json
 from .semigroups import green, kept
 
@@ -298,13 +298,16 @@ def semisimple_image_check(ES, order="r") -> SemisimpleReport:
 
     (i) and (ii) are certified without eliminating QS's n x n trace form when
     psi maps the non-invertible morphisms, which span Rad(QC) in an EI
-    category, into Rad(QS): their images are independent (a unitriangular
-    block of the Moebius matrix) and solve the radical's equations, so
+    category, into Rad(QS): their images are columns of the certified Moebius
+    matrix (posets.moebius), independent as its principal blocks are
+    unitriangular, and solve the radical's equations, so
     dim Rad(QS) >= n - |Reg_E|; a nonsingular Reg_E x Reg_E block of the form
     gives dim Rad(QS) <= n - |Reg_E| and (ii).  If either bound fails, as it
-    may outside the theorem, both are computed by elimination.  A
-    unitriangular Reg_E x Reg_E block of the Moebius matrix likewise settles
-    the rank in (iii).
+    may outside the theorem, both are computed by elimination.  Neither
+    depends on the order, so psi is that of the order it is an isomorphism
+    for ("r" on a left restriction structure, "l" on a right one).  In (iii),
+    psi of the chosen order, a unitriangular Reg_E x Reg_E block gives full
+    rank once the image lies in the span.
 
     The conclusion is asserted only under the hypotheses "left or right
     restriction" and "EI".  Outside them the raw quantities are still computed
@@ -319,10 +322,9 @@ def semisimple_image_check(ES, order="r") -> SemisimpleReport:
     n = ES.n
     rest = np.delete(np.arange(n), reg)
     # column x of the Moebius matrix holds the coefficients of psi(x)
-    mu = order_data(ES, order)
-    down = natural_order(ES, order).sum(axis=0)  # down[x] = |{y : y <= x}|
+    mu = order_data(ES, "r" if left else "l" if right else order)
     form = _trace_form(ES.S.table, np.ones((n, n), dtype=bool))  # QS's radical equations
-    if (_unitriangular(mu, rest, down) and not exact_matmul(form, mu[:, rest]).any()
+    if (not exact_matmul(form, mu[:, rest]).any()
             and rank(list(form[np.ix_(reg, reg)])) == len(reg)):
         rad_dim, projection_full_rank = n - len(reg), True
     else:
@@ -330,13 +332,9 @@ def semisimple_image_check(ES, order="r") -> SemisimpleReport:
         # the radical meets span{e_r : r in Reg_E} only in 0 iff those columns have full rank
         projection_full_rank = rank(list(form[:, reg])) == len(reg)
     dims_match = rad_dim == n - len(reg)
+    in_span = not np.delete(order_data(ES, order)[:, reg], reg, axis=0).any()
 
-    images = mu[:, reg]
-    in_span = not np.delete(images, reg, axis=0).any()
-    psi_full_rank = in_span and (_unitriangular(mu, reg, down)
-                                 or rank(list(images[reg])) == len(reg))
-
-    all_ok = dims_match and projection_full_rank and in_span and psi_full_rank
+    all_ok = dims_match and projection_full_rank and in_span
     return SemisimpleReport(
         left_restriction=left,
         right_restriction=right,
@@ -347,20 +345,7 @@ def semisimple_image_check(ES, order="r") -> SemisimpleReport:
         dims_match=dims_match,
         projection_full_rank=projection_full_rank,
         psi_image_in_span=in_span,
-        psi_image_full_rank=psi_full_rank,
+        psi_image_full_rank=in_span,
         semisimple_check=None if outside else all_ok,
     )
 
-
-def _unitriangular(mu, idx, down):
-    """Whether mu's idx x idx block has unit diagonal and is zero off the strict order.
-
-    An entry [y, x] off the diagonal may be nonzero only if y has the smaller
-    down-set, down[y] < down[x], as y < x forces: the block is then
-    unitriangular with its rows and columns sorted by down-set size, so it is
-    invertible whatever matrix mu is.
-    """
-    block = mu[np.ix_(idx, idx)]
-    below = down[idx][:, None] < down[idx]
-    np.fill_diagonal(below, True)
-    return bool((block.diagonal() == 1).all() and not (block != 0)[~below].any())

@@ -366,8 +366,9 @@ def from_interchange(obj):
     if n != len(table):
         raise ValueError("declared n does not match table size")
     names, E = obj.get("names"), obj.get("E")
-    if names is not None and not isinstance(names, list):
-        raise ValueError("names must be a list")
+    if names is not None:
+        if not (isinstance(names, list) and all(isinstance(x, str) for x in names)):
+            raise ValueError("names must be a list of strings")
     if E is not None:
         if not (isinstance(E, list) and all(_is_index_type(type(e)) for e in E)):
             raise ValueError("E must be a list of integer indices")

@@ -104,7 +104,8 @@ def test_report_and_emit_category_on_one_file_fail_before_the_input_is_loaded(
 
 
 @pytest.mark.parametrize("field,value", [
-    ("E", "01"), ("E", ["0", 1.9]), ("E", [True, 1]), ("names", "ab"),
+    ("E", "01"), ("E", ["0", 1.9]), ("E", [True, 1]), ("names", "ab"), ("names", [None, "b"]),
+    ("names", [1, 2]),
 ])
 def test_check_malformed_e_or_names_is_input_error(tmp_path, capsys, field, value):
     obj = {"n": 2, "table": [[0, 1], [1, 1]], "E": [0, 1], field: value}

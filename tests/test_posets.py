@@ -17,7 +17,7 @@ from semicat import (
     zoo,
 )
 from semicat import posets
-from semicat.errors import NotAPosetError
+from semicat.errors import InconsistentComputationError, NotAPosetError
 
 
 def poset_from_matrix(leq):
@@ -170,6 +170,27 @@ def test_python_int_route_when_the_int64_inverse_is_wrong(monkeypatch):
         mu = moebius(P)
         assert mu.dtype == object
         assert mu.tolist() == reference_moebius(P)
+
+
+def test_moebius_raises_when_both_routes_fail_z_m_equals_i(monkeypatch):
+    # an inverse that is wrong in int64 and in Python ints is never returned
+    rng = random.Random(7)
+    original = posets._inverse_zeta
+    routes = []
+
+    def wrong(leq, dtype):
+        routes.append(dtype)
+        mu = original(leq, dtype)
+        mu[rng.randrange(len(leq)), rng.randrange(len(leq))] += rng.choice([-1, 1, 3])
+        return mu
+
+    monkeypatch.setattr(posets, "_inverse_zeta", wrong)
+    for _ in range(30):
+        P = random_poset(rng, rng.randrange(1, 10))
+        routes.clear()
+        with pytest.raises(InconsistentComputationError, match="Moebius matrix"):
+            moebius(P)
+        assert routes == [np.int64, object]
 
 
 def test_sum_down_and_invert_match_the_loops_on_random_posets():

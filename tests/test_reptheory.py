@@ -25,7 +25,7 @@ from semicat import (
     semisimple_image_check,
     validate,
 )
-from semicat import algebras, cli, reptheory, zoo
+from semicat import cli, reptheory, zoo
 from semicat.ehresmann import EhresmannStructure
 from semicat.errors import (
     InconsistentComputationError,
@@ -34,7 +34,6 @@ from semicat.errors import (
     SemicatError,
 )
 from semicat.linalg import nullspace, rank
-from semicat.posets import natural_order, order_data
 from semicat.reptheory import EIReport, RadicalReport, RegESet
 from semicat.semigroups import FiniteSemigroup
 from test_ehresmann import reference_tilde_relations
@@ -689,51 +688,24 @@ def reference_psi_image(es, order):
     return True, rank(psi_rows) == len(reg.elements)
 
 
-def mutated_moebius(es, order, rng):
-    """The Moebius matrix of `order` with one entry changed or one column copied.
-
-    Entries outside Reg_E under an invertible morphism move psi's image out of
-    the span; a column copied between two invertible morphisms makes the
-    images dependent.
-    """
-    mu = order_data(es, order).copy()
-    invertible = invertible_morphisms(es)
-    x, y = rng.choice(invertible), rng.choice(invertible)
-    if rng.random() < 0.5:
-        mu[:, y] = mu[:, x]
-    else:
-        mu[rng.randrange(es.n), x] += rng.choice([-1, 1, 2])
-    return mu
-
-
-def test_psi_image_matches_the_loop(zoo_members, monkeypatch):
+def test_psi_image_matches_the_loop(zoo_members):
     members = {**zoo_members, "t:3": zoo.parse_zoo_spec("t:3"), "op:4": zoo.parse_zoo_spec("op:4")}
-    rng = random.Random(43)
     kinds = set()
-
-    def check(es, order):
-        got = outcome(semisimple_image_check, es, order)
-        if kind_of(got) == "ok":
-            images = (got.psi_image_in_span, got.psi_image_full_rank)
-            assert images == reference_psi_image(es, order)
-            kinds.add(images)
-        # otherwise a check tested above raised before the psi images
-
     for es in list(members.values()) + list(structure_mutants(zoo_members, 43, 360)):
         for order in ("r", "l"):
-            check(es, order)
-    for trial in range(120):
-        es = list(zoo_members.values())[trial % len(zoo_members)]
-        order = rng.choice("rl")
-        with monkeypatch.context() as m:
-            mu = mutated_moebius(es, order, rng)
-            for module in (reptheory, algebras):
-                m.setattr(module, "order_data", lambda ES, order="r": mu)
-            check(es, order)
-    assert kinds == {(True, True), (True, False), (False, False)}
+            got = outcome(semisimple_image_check, es, order)
+            if kind_of(got) == "ok":
+                images = (got.psi_image_in_span, got.psi_image_full_rank)
+                assert images == reference_psi_image(es, order)
+                kinds.add(images)
+            # otherwise a check tested above raised before the psi images
+    # reg_e verifies that Reg_E is a down ideal of both orders, and psi(x) lies
+    # on the down-set of x, so every structure that gets here has its images in
+    # the span; a certified Moebius matrix makes them independent
+    assert kinds == {(True, True)}
 
 
-# --- the kernel certificate for dim Rad(QS) against the three eliminations ---------
+# --- the kernel certificate for dim Rad(QS) against the two eliminations -----------
 
 
 def draw_structures(monkeypatch, seeds):
@@ -747,8 +719,12 @@ def draw_structures(monkeypatch, seeds):
                 yield derive_structure(*from_interchange(obj))
 
 
+def nonzero_product(a, b):
+    """An exact_matmul for reptheory whose kernel product is never zero: the eliminations run."""
+    return np.ones((1, 1), dtype=np.int64)
+
+
 def test_certified_radical_matches_the_forced_fallback(zoo_members, monkeypatch):
-    # with both unitriangularity checks failing, the three eliminations run
     members = {**zoo_members, "t:3": zoo.parse_zoo_spec("t:3"), "op:4": zoo.parse_zoo_spec("op:4")}
     structures = [*members.values(), *draw_structures(monkeypatch, (1, 2)),
                   *structure_mutants(zoo_members, 45, 180)]
@@ -764,57 +740,43 @@ def test_certified_radical_matches_the_forced_fallback(zoo_members, monkeypatch)
             if kind_of(got) == "ok":
                 routes.add(not eliminated)
             with monkeypatch.context() as m:
-                m.setattr(reptheory, "_unitriangular", lambda *args: False)
+                m.setattr(reptheory, "exact_matmul", nonzero_product)
+                eliminated.clear()
                 assert got == outcome(semisimple_image_check, es, order)
+                assert eliminated or kind_of(got) != "ok"
     assert routes == {True, False}
 
 
 def test_certificate_needs_each_of_its_checks(zoo_members, monkeypatch):
-    # zero psi columns solve the radical equations but are not independent, and
-    # a Reg_E naming one element too many leaves its block of the form singular:
-    # each makes n - |Reg_E| wrong.  Two equal psi columns of Reg_E, each with a
-    # 1 in the other's row, make a singular block with unit diagonal that is
-    # nonzero only between elements of equal down-set size.  Each must send the
-    # check to elimination.
+    # a Reg_E naming one element too many leaves its block of the form
+    # singular; one naming one element too few puts an invertible morphism's
+    # psi image, which the form does not kill, among the kernel vectors.  Each
+    # makes n - |Reg_E| wrong and must send the check to elimination.
     wrong = set()
-
-    def compare(es, order, m):
-        got = semisimple_image_check(es, order)
-        with monkeypatch.context() as forced:
-            forced.setattr(reptheory, "_unitriangular", lambda *args: False)
-            assert got == semisimple_image_check(es, order)
-        if got.radical_dim_s != es.n - got.reg_size or not got.psi_image_full_rank:
-            wrong.add(m)
-
     for es in zoo_members.values():
         reg = reg_e(es)
         rest = [x for x in range(es.n) if x not in reg.elements]
+        patches = [("one fewer element", RegESet(reg.elements[1:], reg.inverse_map))]
+        if rest:
+            wider = RegESet(tuple(sorted(reg.elements + (rest[0],))), reg.inverse_map)
+            patches.append(("one more element", wider))
         for order in ("r", "l"):
-            down = natural_order(es, order).sum(axis=0)
-            pairs = [(a, b) for a in reg.elements for b in reg.elements
-                     if a < b and down[a] == down[b]]
-            patches = []
-            if rest:
-                mu = order_data(es, order).copy()
-                mu[:, rest] = 0
-                patches.append(("zero columns", "order_data", lambda ES, order="r", mu=mu: mu))
-                wider = RegESet(tuple(sorted(reg.elements + (rest[0],))), reg.inverse_map)
-                patches.append(("one more element", "reg_e", lambda ES, wider=wider: wider))
-            if pairs:
-                (a, b), mu = pairs[0], order_data(es, order).copy()
-                mu[:, b] = mu[:, a]
-                mu[b, [a, b]] = 1
-                patches.append(("equal columns", "order_data", lambda ES, order="r", mu=mu: mu))
-            for kind, name, patch in patches:
+            for kind, patched in patches:
                 with monkeypatch.context() as m:
-                    m.setattr(reptheory, name, patch)
-                    compare(es, order, kind)
-    assert wrong == {"zero columns", "one more element", "equal columns"}
+                    m.setattr(reptheory, "reg_e", lambda ES, patched=patched: patched)
+                    got = semisimple_image_check(es, order)
+                    m.setattr(reptheory, "exact_matmul", nonzero_product)
+                    assert got == semisimple_image_check(es, order)
+                if got.radical_dim_s != es.n - got.reg_size:
+                    wrong.add(kind)
+    assert wrong == {"one fewer element", "one more element"}
 
 
 def test_rep_op4_ranks_no_matrix_wider_than_reg_e(monkeypatch, capsys):
-    # the parent eliminated QS's 193 x 192 trace form; now the widest rank is
-    # the Reg_E x Reg_E block (|Reg_E| = 70), beside QC's 71 x 70 nonzero block
+    # QS's 193 x 192 trace form is eliminated in neither order: the widest rank
+    # is the Reg_E x Reg_E block (|Reg_E| = 70), beside QC's 71 x 70 nonzero
+    # block.  op:4 is a left restriction structure, so the Moebius matrix of
+    # <=_r certifies the radical under --order l too.
     widths = []
 
     def spy(rows):
@@ -822,9 +784,11 @@ def test_rep_op4_ranks_no_matrix_wider_than_reg_e(monkeypatch, capsys):
         return rank(rows)
 
     monkeypatch.setattr(reptheory, "rank", spy)
-    assert cli.main(["rep", "--zoo", "op:4"]) == 0
-    assert "PASS  semisimple-image: dim Rad(QS) = 122" in capsys.readouterr().out
-    assert widths and max(widths) == 70
+    for order in ("r", "l"):
+        widths.clear()
+        assert cli.main(["rep", "--zoo", "op:4", "--order", order]) == 0
+        assert "PASS  semisimple-image: dim Rad(QS) = 122" in capsys.readouterr().out
+        assert widths and max(widths) == 70
 
 
 def test_semisimple_image_check_memory_on_op4():

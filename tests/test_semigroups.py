@@ -220,6 +220,8 @@ def test_interchange_rejects_bad_e(pt2):
     ("E", 3),
     ("names", "abcdefghi"),   # a string, which would be split into characters
     ("names", {"a": 1}),
+    ("names", [None] * 9),    # display strings, not any JSON value
+    ("names", list(range(9))),
 ])
 def test_interchange_rejects_malformed_e_and_names(pt2, field, value):
     obj = to_interchange(pt2.S, pt2.E)
