@@ -19,23 +19,32 @@ the composable-pair half of the sweep from the rest so a failure certificate
 pins down exactly which half broke.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
 from .errors import BasisMismatchError
 from .posets import natural_order, order_data
 from .reports import record_json
-from .semigroups import associativity_failure, generators
+from .semigroups import associativity_failure, generators, read_only
 
 SEMIGROUP = "semigroup"
 CATEGORY = "category"
 
 
-@dataclass(frozen=True)
 class AlgebraElement:
-    basis: str
-    coeffs: dict  # basis index -> nonzero Fraction
+    __setattr__ = __delattr__ = read_only
+
+    def __init__(self, basis, coeffs):
+        # coeffs: basis index -> nonzero Fraction
+        vars(self).update(basis=basis, coeffs=coeffs)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.basis == other.basis and self.coeffs == other.coeffs
+
+    __hash__ = None  # unhashable: coeffs is a dict
 
     def __add__(self, other):
         self._check(other)
@@ -143,17 +152,18 @@ def unit(ES) -> AlgebraElement:
     return element(CATEGORY, dict.fromkeys(ES.E, 1))
 
 
-@dataclass
-class IsoReport:
-    order: str
-    n: int
-    bijection: bool
-    bijection_witness: dict | None
-    case1_failures: list      # composable pairs (a* = b+) where phi broke
-    case2_failures: list
-    pairs_checked: int
-    case1_count: int
-    witness_expansion: dict | None
+class IsoReport(namedtuple("IsoReport", [
+    "order",
+    "n",
+    "bijection",
+    "bijection_witness",
+    "case1_failures",       # composable pairs (a* = b+) where phi broke
+    "case2_failures",
+    "pairs_checked",
+    "case1_count",
+    "witness_expansion",
+])):
+    __slots__ = ()
 
     @property
     def homomorphism(self):

@@ -13,8 +13,6 @@ co-restriction.  All three are table entries: e ^ f is the product e*f,
 (e | x) is e*x and (x | e) is x*e.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import (
@@ -25,20 +23,17 @@ from .errors import (
 from .linalg import exact_matmul
 from .posets import poset_violation
 from .reports import VerificationReport, first_witness
-from .semigroups import freeze_fields, kept, validate
+from .semigroups import freeze_fields, kept, read_only, validate
 
 
-@dataclass(frozen=True, eq=False)
 class EhresmannCategory:
-    n: int                  # number of morphisms
-    objects: tuple          # sorted subset of morphism indices (the identities)
-    dom: np.ndarray
-    cod: np.ndarray
-    table: np.ndarray       # products: compositions, (e | x) = ex, (x | e) = xe, e ^ f = ef
-    leq_r: np.ndarray
-    leq_l: np.ndarray
+    __setattr__ = __delattr__ = read_only
 
-    def __post_init__(self):
+    def __init__(self, n, objects, dom, cod, table, leq_r, leq_l):
+        # n morphisms; objects: sorted subset of morphism indices (the identities);
+        # table: products: compositions, (e | x) = ex, (x | e) = xe, e ^ f = ef
+        vars(self).update(n=n, objects=objects, dom=dom, cod=cod, table=table,
+                          leq_r=leq_r, leq_l=leq_l)
         freeze_fields(self, dom=np.int64, cod=np.int64, table=np.int64, leq_r=bool, leq_l=bool)
 
     def composable(self, x, y):

@@ -12,33 +12,30 @@ to E and carries two natural partial orders:
     a <=_l b  iff  a = b a*      (equivalently a = be for some e in E)
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
 from .errors import ClassWithoutIdempotentError, CongruenceError, NotSubsemilatticeError
 from .reports import VerificationReport, first_witness
 from .semigroups import (
-    FiniteSemigroup,
     associativity_failure,
     class_ids,
     class_members,
     freeze_fields,
     idempotents,
+    read_only,
     subsemilattice_violation,
 )
 
 
-@dataclass(frozen=True, eq=False)
 class EhresmannStructure:
-    S: FiniteSemigroup
-    E: tuple                # sorted indices of the distinguished semilattice
-    plus: np.ndarray        # a -> a+
-    star: np.ndarray        # a -> a*
-    leq_r: np.ndarray       # leq_r[a, b] iff a <=_r b
-    leq_l: np.ndarray
+    __setattr__ = __delattr__ = read_only
 
-    def __post_init__(self):
+    def __init__(self, S, E, plus, star, leq_r, leq_l):
+        # E: sorted indices of the distinguished semilattice; plus: a -> a+; star: a -> a*;
+        # leq_r[a, b] iff a <=_r b
+        vars(self).update(S=S, E=E, plus=plus, star=star, leq_r=leq_r, leq_l=leq_l)
         freeze_fields(self, plus=np.int64, star=np.int64, leq_r=bool, leq_l=bool)
 
     @property
@@ -49,11 +46,12 @@ class EhresmannStructure:
         return f"EhresmannStructure(n={self.S.n}, |E|={len(self.E)})"
 
 
-@dataclass(frozen=True, eq=False)
 class TildeClasses:
-    r_index: np.ndarray     # element -> class id, classes numbered by least member
-    l_index: np.ndarray
-    h_index: np.ndarray
+    __setattr__ = __delattr__ = read_only
+
+    def __init__(self, r_index, l_index, h_index):
+        # element -> class id, classes numbered by least member
+        vars(self).update(r_index=r_index, l_index=l_index, h_index=h_index)
 
     def classes(self, which):
         return class_members(getattr(self, which + "_index"))
@@ -180,12 +178,9 @@ def is_right_restriction(ES):
     return _restriction(ES.S.table.T, ES.E, ES.star)
 
 
-@dataclass(frozen=True)
-class OrderContainment:
-    l_in_r: bool
-    l_in_r_witness: tuple | None
-    r_in_l: bool
-    r_in_l_witness: tuple | None
+class OrderContainment(namedtuple("OrderContainment",
+                                  ["l_in_r", "l_in_r_witness", "r_in_l", "r_in_l_witness"])):
+    __slots__ = ()
 
 
 def _containment(inner, outer):

@@ -1,13 +1,11 @@
 """Finite posets, their integer Moebius matrices and exact Moebius inversion."""
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InconsistentComputationError, NotAPosetError
 from .linalg import exact_matmul
 from .reports import first_witness
-from .semigroups import freeze_fields, kept
+from .semigroups import freeze_fields, kept, read_only
 
 
 def poset_violation(leq):
@@ -30,14 +28,12 @@ def poset_violation(leq):
     return None
 
 
-@dataclass(frozen=True, eq=False)
 class FinitePoset:
-    m: int
-    zeta: np.ndarray  # zeta[x, y] is True iff x <= y
+    __setattr__ = __delattr__ = read_only
 
-    def __post_init__(self):
-        # a read-only (m, m) bool array is kept as it is, not copied
-        object.__setattr__(self, "zeta", np.asarray(self.zeta, dtype=bool).reshape(self.m, self.m))
+    def __init__(self, m, zeta):
+        # zeta[x, y] is True iff x <= y; a read-only (m, m) bool array is kept as it is, not copied
+        vars(self).update(m=m, zeta=np.asarray(zeta, dtype=bool).reshape(m, m))
         freeze_fields(self, zeta=bool)
         bad = poset_violation(self.zeta)
         if bad is not None:
@@ -126,7 +122,7 @@ def order_data(structure, order="r") -> np.ndarray:
 
     Its column x holds the coefficients of psi(x), as the column x of the
     order matrix holds those of phi(x).  The result is kept in the structure's
-    instance dictionary (a frozen dataclass still has one), so later calls for
-    the same structure and order read the same read-only matrix.
+    instance dictionary, so later calls for the same structure and order read
+    the same read-only matrix.
     """
     return kept(structure, f"_moebius_{order}", lambda s: moebius(order_poset(s, order)))

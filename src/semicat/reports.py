@@ -1,7 +1,7 @@
 """Pass/fail records with counterexample certificates."""
 
 import numbers
-from dataclasses import dataclass, field, fields
+from collections import namedtuple
 
 import numpy as np
 
@@ -48,23 +48,23 @@ def jsonable(value):
 
 
 def record_json(record, **keys):
-    """A dataclass record as a JSON object: one entry per field, through jsonable.
+    """A namedtuple record as a JSON object: one entry per field in order, through jsonable.
 
     keys renames fields: record_json(r, is_ei="is_EI") writes r.is_ei as "is_EI".
     """
-    return {keys.get(f.name, f.name): jsonable(getattr(record, f.name)) for f in fields(record)}
+    return {keys.get(name, name): jsonable(value) for name, value in zip(record._fields, record)}
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    witness: dict | None = None
+class CheckResult(namedtuple("CheckResult", ["name", "passed", "witness"], defaults=[None])):
+    __slots__ = ()
 
 
-@dataclass
-class VerificationReport:
-    checks: list[CheckResult] = field(default_factory=list)
+class VerificationReport(namedtuple("VerificationReport", ["checks"])):
+    __slots__ = ()
+
+    def __new__(cls, checks=None):
+        # checks: the CheckResults in the order they were added; a new list per report
+        return super().__new__(cls, [] if checks is None else checks)
 
     def add(self, name, passed, witness=None):
         self.checks.append(CheckResult(name, bool(passed), witness))

@@ -9,14 +9,14 @@ integer entries and linalg certifies every modular answer or falls back to
 rational elimination; there are no tolerances anywhere.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
 from .errors import InconsistentComputationError, NotClosedError, NotEIError
 from .ehresmann import is_left_restriction, is_right_restriction, tilde_relations
 from .linalg import exact_matmul, rank
-from .posets import order_data
+from .posets import order_data, order_poset
 from .reports import first_witness, record_json
 from .semigroups import green, kept
 
@@ -47,10 +47,11 @@ def _invertible_morphisms(ES):
     return by_green
 
 
-@dataclass(frozen=True)
-class RegESet:
-    elements: tuple
-    inverse_map: dict  # a -> the inverse b with ab = a+ and ba = a*
+class RegESet(namedtuple("RegESet", [
+    "elements",
+    "inverse_map",      # a -> the inverse b with ab = a+ and ba = a*
+])):
+    __slots__ = ()
 
 
 def reg_e(ES) -> RegESet:
@@ -97,15 +98,16 @@ def reg_e(ES) -> RegESet:
     return RegESet(elems, dict(zip(elems, b.tolist())))
 
 
-@dataclass(frozen=True)
-class EIReport:
-    is_ei: bool
-    witness: dict | None            # an endomorphism outside its object's H-class
-    endomorphism_counts: dict       # object -> size of its endomorphism monoid
-    e_is_maximal_semilattice: bool
-    maximal_witness: int | None     # commuting idempotent outside E, if any
-    object_iso_classes: tuple       # partition of E by isomorphism (= D-classes)
-    is_groupoid: bool
+class EIReport(namedtuple("EIReport", [
+    "is_ei",
+    "witness",                      # an endomorphism outside its object's H-class
+    "endomorphism_counts",          # object -> size of its endomorphism monoid
+    "e_is_maximal_semilattice",
+    "maximal_witness",              # commuting idempotent outside E, if any
+    "object_iso_classes",           # partition of E by isomorphism (= D-classes)
+    "is_groupoid",
+])):
+    __slots__ = ()
 
     def to_json(self):
         return record_json(self, is_ei="is_EI")
@@ -202,14 +204,15 @@ def _radical_dim(form):
     return form.shape[1] - rank(list(form[np.ix_(form.any(axis=1), form.any(axis=0))]))
 
 
-@dataclass(frozen=True)
-class RadicalReport:
-    noninvertible: tuple
-    claimed_dim: int
-    oracle_dim: int
-    agrees: bool
-    ideal_witness: tuple | None     # product of a morphism with the span leaving it
-    nilpotency_index: int
+class RadicalReport(namedtuple("RadicalReport", [
+    "noninvertible",
+    "claimed_dim",
+    "oracle_dim",
+    "agrees",
+    "ideal_witness",                # product of a morphism with the span leaving it
+    "nilpotency_index",
+])):
+    __slots__ = ()
 
     @property
     def passed(self):
@@ -266,19 +269,20 @@ def radical_span(ES) -> RadicalReport:
     )
 
 
-@dataclass(frozen=True)
-class SemisimpleReport:
-    left_restriction: bool
-    right_restriction: bool
-    is_ei: bool
-    outside_theorem: bool
-    reg_size: int
-    radical_dim_s: int
-    dims_match: bool                # dim Rad(QS) == |S| - |Reg_E(S)|
-    projection_full_rank: bool      # QReg_E -> QS/Rad injective
-    psi_image_in_span: bool         # psi(invertible) supported on Reg_E
-    psi_image_full_rank: bool
-    semisimple_check: bool | None   # asserted only inside the theorem's hypotheses
+class SemisimpleReport(namedtuple("SemisimpleReport", [
+    "left_restriction",
+    "right_restriction",
+    "is_ei",
+    "outside_theorem",
+    "reg_size",
+    "radical_dim_s",
+    "dims_match",                   # dim Rad(QS) == |S| - |Reg_E(S)|
+    "projection_full_rank",         # QReg_E -> QS/Rad injective
+    "psi_image_in_span",            # psi(invertible) supported on Reg_E
+    "psi_image_full_rank",
+    "semisimple_check",             # asserted only inside the theorem's hypotheses
+])):
+    __slots__ = ()
 
     @property
     def passed(self):
@@ -305,9 +309,13 @@ def semisimple_image_check(ES, order="r") -> SemisimpleReport:
     gives dim Rad(QS) <= n - |Reg_E| and (ii).  If either bound fails, as it
     may outside the theorem, both are computed by elimination.  Neither
     depends on the order, so psi is that of the order it is an isomorphism
-    for ("r" on a left restriction structure, "l" on a right one).  In (iii),
-    psi of the chosen order, a unitriangular Reg_E x Reg_E block gives full
-    rank once the image lies in the span.
+    for ("r" on a left restriction structure, "l" on a right one).  (iii) holds
+    for psi of either order once reg_e has verified that Reg_E is a down ideal
+    of both: a Moebius matrix vanishes off its order, so psi of a member is
+    supported on the members below it, and its Reg_E x Reg_E block is
+    unitriangular, so the image is all of QReg_E(S).  No second Moebius matrix
+    is computed; the chosen order, when it is not psi's, is only checked to be
+    a partial order.
 
     The conclusion is asserted only under the hypotheses "left or right
     restriction" and "EI".  Outside them the raw quantities are still computed
@@ -322,7 +330,8 @@ def semisimple_image_check(ES, order="r") -> SemisimpleReport:
     n = ES.n
     rest = np.delete(np.arange(n), reg)
     # column x of the Moebius matrix holds the coefficients of psi(x)
-    mu = order_data(ES, "r" if left else "l" if right else order)
+    iso_order = "r" if left else "l" if right else order
+    mu = order_data(ES, iso_order)
     form = _trace_form(ES.S.table, np.ones((n, n), dtype=bool))  # QS's radical equations
     if (not exact_matmul(form, mu[:, rest]).any()
             and rank(list(form[np.ix_(reg, reg)])) == len(reg)):
@@ -332,9 +341,13 @@ def semisimple_image_check(ES, order="r") -> SemisimpleReport:
         # the radical meets span{e_r : r in Reg_E} only in 0 iff those columns have full rank
         projection_full_rank = rank(list(form[:, reg])) == len(reg)
     dims_match = rad_dim == n - len(reg)
-    in_span = not np.delete(order_data(ES, order)[:, reg], reg, axis=0).any()
+    if order != iso_order:
+        order_poset(ES, order)  # psi of the chosen order needs it to be a partial order
+    # psi(x) for x in Reg_E is supported on the y <= x, as Moebius values vanish off the
+    # order, and reg_e's down-ideal check raised unless every such y is in Reg_E
+    in_span = True
 
-    all_ok = dims_match and projection_full_rank and in_span
+    all_ok = dims_match and projection_full_rank
     return SemisimpleReport(
         left_restriction=left,
         right_restriction=right,

@@ -5,8 +5,6 @@ so values can be shared freely between threads.  Tables, maps and orders are
 stored as read-only numpy arrays (int64 indices, bool relations).
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NotAssociativeError, NotClosedError, OutOfRangeError
@@ -17,7 +15,7 @@ LIGHT_BLOCK = 1 << 22  # entries of one temporary of Light's test (32 MiB of int
 
 
 def freeze_fields(obj, **dtypes):
-    """Store each named field of a frozen dataclass as a read-only array of its dtype.
+    """Store each named field of a read-only structure as a read-only array of its dtype.
 
     A read-only array of that dtype is kept; anything else (tuples, lists, a
     writeable array) is copied, so no caller can change the stored values.
@@ -27,7 +25,12 @@ def freeze_fields(obj, **dtypes):
         if not (isinstance(value, np.ndarray) and value.dtype == dtype and not value.flags.writeable):
             value = np.array(value, dtype=dtype)
             value.flags.writeable = False
-        object.__setattr__(obj, name, value)
+        vars(obj)[name] = value
+
+
+def read_only(obj, name, *value):
+    """__setattr__ and __delattr__ of the structures: __init__ sets their fields, once."""
+    raise AttributeError(f"{type(obj).__name__} is read-only: cannot set or delete {name!r}")
 
 
 def kept(obj, key, compute):
@@ -38,13 +41,12 @@ def kept(obj, key, compute):
     return cache[key]
 
 
-@dataclass(frozen=True, eq=False)
 class FiniteSemigroup:
-    n: int
-    table: np.ndarray  # table[i, j] = index of i*j
-    names: tuple | None = None
+    __setattr__ = __delattr__ = read_only
 
-    def __post_init__(self):
+    def __init__(self, n, table, names=None):
+        # table[i, j] = index of i*j
+        vars(self).update(n=n, table=table, names=names)
         freeze_fields(self, table=np.int64)
         if self.table.shape != (self.n, self.n):
             raise ValueError(f"table shape {self.table.shape} does not match n = {self.n}")
@@ -207,14 +209,12 @@ def idempotents(S) -> frozenset:
     return frozenset(np.flatnonzero(S.table.diagonal() == np.arange(S.n)).tolist())
 
 
-@dataclass(frozen=True, eq=False)
 class GreenData:
-    r_class: np.ndarray  # element -> class id, ids assigned by first occurrence
-    l_class: np.ndarray
-    h_class: np.ndarray
-    d_class: np.ndarray
+    __setattr__ = __delattr__ = read_only
 
-    def __post_init__(self):
+    def __init__(self, r_class, l_class, h_class, d_class):
+        # element -> class id, ids assigned by first occurrence
+        vars(self).update(r_class=r_class, l_class=l_class, h_class=h_class, d_class=d_class)
         freeze_fields(self, r_class=np.int64, l_class=np.int64, h_class=np.int64,
                       d_class=np.int64)
 

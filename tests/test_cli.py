@@ -9,7 +9,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from semicat import algebras, categories, cli, ehresmann, reptheory, semigroups, to_interchange
+from semicat import (
+    algebras, categories, cli, ehresmann, posets, reptheory, semigroups, to_interchange)
 from semicat import zoo
 from semicat.cli import main
 from semicat.reports import jsonable
@@ -335,6 +336,17 @@ def test_rep_builds_each_trace_form_once(monkeypatch, capsys):
     assert calls == ["QS", "QC"]  # the semisimple check, then the radical span
 
 
+def test_rep_order_l_computes_one_moebius_matrix(monkeypatch, capsys):
+    # psi's image lies in Reg_E's span because reg_e checked that Reg_E is a down ideal of
+    # both orders: the chosen order needs no Moebius matrix beside the one psi uses
+    calls = []
+    original = posets.moebius
+    monkeypatch.setattr(posets, "moebius", lambda P: calls.append(P.m) or original(P))
+    code, _, _ = run(capsys, "rep", "--zoo", "op:4", "--order", "l")
+    assert code == 0
+    assert calls == [192]
+
+
 def test_rep_computes_green_and_invertibles_once(monkeypatch, capsys):
     calls = []
     for module, name in ((semigroups, "_green"), (reptheory, "_invertible_morphisms")):
@@ -446,10 +458,10 @@ def test_passing_iso_runs_no_exhaustive_sweep(monkeypatch, capsys):
 def test_rep_builds_the_category_and_ei_report_once(monkeypatch, capsys, tmp_path):
     # rep reads the structure alone: only --emit-category builds the category
     calls = []
-    ei, post_init = reptheory._ei_report, categories.EhresmannCategory.__post_init__
+    ei, init = reptheory._ei_report, categories.EhresmannCategory.__init__
     monkeypatch.setattr(reptheory, "_ei_report", lambda ES: calls.append("ei") or ei(ES))
-    monkeypatch.setattr(categories.EhresmannCategory, "__post_init__",
-                        lambda C: calls.append("category") or post_init(C))
+    monkeypatch.setattr(categories.EhresmannCategory, "__init__",
+                        lambda C, *args, **kw: calls.append("category") or init(C, *args, **kw))
     code, _, _ = run(capsys, "rep", "--zoo", "op:3")
     assert code == 0
     assert calls == ["ei"]

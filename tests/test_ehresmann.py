@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 import tracemalloc
@@ -263,7 +262,7 @@ def test_six_element_restriction_witnesses_from_the_drawing(six):
 
 def test_order_containment(pt2, b2, i2):
     pt = order_containment(pt2)
-    assert [f.name for f in dataclasses.fields(pt)] == \
+    assert list(pt._fields) == \
         ["l_in_r", "l_in_r_witness", "r_in_l", "r_in_l_witness"]
     assert pt.l_in_r and pt.l_in_r_witness is None
     inv = order_containment(i2)

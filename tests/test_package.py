@@ -9,7 +9,8 @@ import types
 import pytest
 
 import semicat
-from semicat import to_interchange
+from semicat import to_interchange, zoo
+from semicat.reports import record_json
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -99,11 +100,75 @@ def test_each_path_executes_only_the_modules_it_runs(tmp_path, pt2):
     assert "algebras" not in executed(main.format(["rep", "--zoo", "pt:2"], 0), tmp_path)
     for argv in (["--setup", "zoo", "pt:3"], ["--setup", "input", "draw.json"]):
         assert not executed(setup.format(argv), tmp_path) & numeric
-    # a passing verdict builds no Fraction and calls no bare np.unique, which imports numpy.ma
-    untouched = "; assert not {'fractions', 'numpy.ma'} & set(sys.modules)"
+    # a passing verdict builds no Fraction and calls no bare np.unique, which imports numpy.ma;
+    # its records are namedtuples and plain classes, so dataclasses is not imported either
+    untouched = "; assert not {'fractions', 'numpy.ma', 'dataclasses'} & set(sys.modules)"
     for source in (["--zoo", "pt:2"], ["--input", "draw.json"]):
         for command in ("check", "iso", "rep"):
             executed(main.format([command, *source], 0) + untouched, tmp_path)
+
+
+# class name -> how to build one instance from a fresh pt:2, and whether it compares by value
+INSTANCES = {
+    "FiniteSemigroup": (lambda es: es.S, False),
+    "GreenData": (lambda es: semicat.green(es.S), False),
+    "FinitePoset": (lambda es: semicat.order_poset(es), False),
+    "EhresmannStructure": (lambda es: es, False),
+    "TildeClasses": (lambda es: semicat.tilde_relations(es.S, es.E), False),
+    "EhresmannCategory": (lambda es: semicat.build_category(es), False),
+    "AlgebraElement": (lambda es: semicat.element("semigroup", {0: 1, es.n - 1: -2}), True),
+    "VerificationReport": (lambda es: semicat.verify_axioms(semicat.build_category(es)), True),
+    "CheckResult": (lambda es: semicat.verify_axioms(semicat.build_category(es)).checks[0], True),
+    "OrderContainment": (lambda es: semicat.order_containment(es), True),
+    "RegESet": (lambda es: semicat.reg_e(es), True),
+    "EIReport": (lambda es: semicat.ei_report(es), True),
+    "RadicalReport": (lambda es: semicat.radical_span(es), True),
+    "SemisimpleReport": (lambda es: semicat.semisimple_image_check(es), True),
+    "IsoReport": (lambda es: semicat.verify_isomorphism(es), True),
+}
+
+# the keys record_json writes for each record, in order: its fields as they were declared
+RECORD_FIELDS = {
+    "CheckResult": ["name", "passed", "witness"],
+    "VerificationReport": ["checks"],
+    "OrderContainment": ["l_in_r", "l_in_r_witness", "r_in_l", "r_in_l_witness"],
+    "RegESet": ["elements", "inverse_map"],
+    "EIReport": ["is_ei", "witness", "endomorphism_counts", "e_is_maximal_semilattice",
+                 "maximal_witness", "object_iso_classes", "is_groupoid"],
+    "RadicalReport": ["noninvertible", "claimed_dim", "oracle_dim", "agrees", "ideal_witness",
+                      "nilpotency_index"],
+    "SemisimpleReport": ["left_restriction", "right_restriction", "is_ei", "outside_theorem",
+                         "reg_size", "radical_dim_s", "dims_match", "projection_full_rank",
+                         "psi_image_in_span", "psi_image_full_rank", "semisimple_check"],
+    "IsoReport": ["order", "n", "bijection", "bijection_witness", "case1_failures",
+                  "case2_failures", "pairs_checked", "case1_count", "witness_expansion"],
+}
+
+
+@pytest.mark.parametrize("name", INSTANCES)
+def test_structures_compare_by_identity_records_by_value_and_none_can_be_assigned(name):
+    make, by_value = INSTANCES[name]
+    a, b = make(zoo.pt_n(2)), make(zoo.pt_n(2))
+    assert type(a).__name__ == name and a is not b
+    assert a == a and (a == b) is by_value and (a != b) is not by_value
+    fields = RECORD_FIELDS.get(name)
+    if fields:
+        assert list(type(a)._fields) == fields == list(record_json(a))
+    field = fields[0] if fields else next(iter(vars(a)))
+    for attr in (field, "not_a_field"):
+        with pytest.raises(AttributeError):
+            setattr(a, attr, getattr(a, field))
+    with pytest.raises(AttributeError):
+        delattr(a, field)
+
+
+def test_an_algebra_element_is_no_tuple():
+    u = semicat.element("semigroup", {0: 1, 2: 3})
+    assert not isinstance(u, tuple)
+    for bad in (lambda: u * 2, lambda: 2 * u, lambda: len(u), lambda: hash(u)):
+        with pytest.raises(TypeError):
+            bad()
+    assert u + u == u.scale(2) and u - u == semicat.element("semigroup", {})
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task") or len(os.sched_getaffinity(0)) < 2,
