@@ -16,14 +16,14 @@ _EXPORTS = {
                 "mul_semigroup phi psi unit verify_isomorphism",
     "categories": "EhresmannCategory build_category category_to_json corestriction "
                   "rebuild_semigroup restriction verify_axioms",
-    "ehresmann": "EhresmannStructure check_variety derive_structure is_left_restriction "
-                 "is_right_restriction maximal_subsemilattices order_containment "
+    "ehresmann": "EhresmannStructure check_variety derive_structure left_restriction_failure "
+                 "maximal_subsemilattices order_containment right_restriction_failure "
                  "tilde_relations",
     "errors": "",
     "linalg": "",
     "posets": "FinitePoset invert moebius order_poset sum_down",
     "reports": "VerificationReport",
-    "reptheory": "EIReport RegESet ei_report invertible_morphisms is_ei radical_oracle "
+    "reptheory": "EIReport RegESet ei_report invertible_morphisms radical_oracle "
                  "radical_span reg_e semisimple_image_check",
     "semigroups": "FiniteSemigroup GreenData from_interchange green idempotents identity_of "
                   "is_inverse opposite product subsemigroup subsemilattice_violation "

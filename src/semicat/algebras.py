@@ -283,9 +283,9 @@ def verify_isomorphism(ES, order="r") -> IsoReport:
         case1, case2 = _hom_sweep(table, cod, dom, leq)
 
     expansion = None
-    failures = sorted(case1 + case2)
-    if failures:
-        a, b = failures[0]
+    heads = case1[:1] + case2[:1]  # each list is in lexicographic order
+    if heads:
+        a, b = min(heads)
         ab = int(table[a, b])
         phi_a, phi_b, phi_ab = (phi(ES, basis_element(SEMIGROUP, x), order) for x in (a, b, ab))
         expansion = {

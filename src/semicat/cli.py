@@ -127,8 +127,9 @@ def _classification(left, right):
 
 def cmd_check(args, ES):
     variety = ehresmann.check_variety(ES.S, ES.plus, ES.star)
-    left, lw = ehresmann.is_left_restriction(ES)
-    right, rw = ehresmann.is_right_restriction(ES)
+    lw = ehresmann.left_restriction_failure(ES)
+    rw = ehresmann.right_restriction_failure(ES)
+    left, right = lw is None, rw is None
     containment = ehresmann.order_containment(ES)
     axioms = categories.verify_axioms(categories.build_category(ES))
 

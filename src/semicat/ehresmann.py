@@ -159,19 +159,19 @@ def check_variety(S, plus, star) -> VerificationReport:
 
 
 def _restriction(t, E, unary):
-    """(ok, first (a, e)) for ae = (ae)' a over all a in S, e in E, where ' is unary."""
+    """The first (a, e) with ae != (ae)' a over a in S, e in E, where ' is unary, or None."""
     ae = t[:, E]
     bad = first_witness(ae != t[unary[ae], np.arange(len(t))[:, None]], ("a", "e"), e=E)
-    return (True, None) if bad is None else (False, (bad["a"], bad["e"]))
+    return None if bad is None else (bad["a"], bad["e"])
 
 
-def is_left_restriction(ES):
-    """Check ae = (ae)+ a for all a in S, e in E; returns (ok, witness)."""
+def left_restriction_failure(ES):
+    """The first (a, e) with ae != (ae)+ a, or None when ES is left restriction."""
     return _restriction(ES.S.table, ES.E, ES.plus)
 
 
-def is_right_restriction(ES):
-    """Check ea = a (ea)* for all a in S, e in E; returns (ok, witness).
+def right_restriction_failure(ES):
+    """The first (a, e) with ea != a (ea)*, or None when ES is right restriction.
 
     This is the left check in the opposite semigroup, with * for +.
     """
@@ -185,14 +185,14 @@ class OrderContainment(namedtuple("OrderContainment",
 
 def _containment(inner, outer):
     bad = first_witness(inner & ~outer, ("a", "b"))
-    return (True, None) if bad is None else (False, (bad["a"], bad["b"]))
+    return None if bad is None else (bad["a"], bad["b"])
 
 
 def order_containment(ES) -> OrderContainment:
     """Containment status of the two natural orders, with witnesses."""
-    l_in_r, w1 = _containment(ES.leq_l, ES.leq_r)
-    r_in_l, w2 = _containment(ES.leq_r, ES.leq_l)
-    return OrderContainment(l_in_r, w1, r_in_l, w2)
+    w1 = _containment(ES.leq_l, ES.leq_r)
+    w2 = _containment(ES.leq_r, ES.leq_l)
+    return OrderContainment(w1 is None, w1, w2 is None, w2)
 
 
 MAX_IDEMPOTENTS = 24  # maximal_subsemilattices enumerates cliques on at most this many

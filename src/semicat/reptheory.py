@@ -14,7 +14,7 @@ from collections import namedtuple
 import numpy as np
 
 from .errors import InconsistentComputationError, NotClosedError, NotEIError
-from .ehresmann import is_left_restriction, is_right_restriction, tilde_relations
+from .ehresmann import left_restriction_failure, right_restriction_failure, tilde_relations
 from .linalg import exact_matmul, rank
 from .posets import order_data, order_poset
 from .reports import first_witness, record_json
@@ -134,10 +134,10 @@ def _ei_report(ES):
     tilde_h = tilde.h_index == tilde.h_index[e]
     green_h = g.h_class == g.h_class[e]
     endo = (p == e) & (s == e)
-    # a loop a: e -> e is invertible in End(e) iff some b: e -> e has ab = ba = e
+    # End(e) is a group iff every loop a: e -> e is invertible (its inverse is a loop at e too)
     loop = p == s
-    has_inverse = (loop & (p == p[:, None]) & (t == p[:, None]) & (t.T == p[:, None])).any(axis=1)
-    group = np.bincount(p[loop & ~has_inverse], minlength=n)[E] == 0
+    invertible = np.isin(np.arange(n), invertible_morphisms(ES))
+    group = np.bincount(p[loop & ~invertible], minlength=n)[E] == 0
     bad = np.stack([(tilde_h != endo).any(axis=1), (tilde_h == green_h).all(axis=1) != group],
                    axis=1)
     found = first_witness(bad, ("e", "kind"), e=E)
@@ -168,11 +168,6 @@ def _ei_report(ES):
         object_iso_classes=iso_classes,
         is_groupoid=len(invertible_morphisms(ES)) == n,
     )
-
-
-def is_ei(ES):
-    rep = ei_report(ES)
-    return rep.is_ei, rep.witness
 
 
 def radical_oracle(table, defined):
@@ -230,9 +225,9 @@ def radical_span(ES) -> RadicalReport:
     ideal: products of basis morphisms are again basis morphisms or zero, so
     ideal powers stay spanned by morphism subsets and can be closed exactly.
     """
-    ei, witness = is_ei(ES)
-    if not ei:
-        raise NotEIError(witness)
+    ei = ei_report(ES)
+    if not ei.is_ei:
+        raise NotEIError(ei.witness)
     n, t, dom, cod = ES.n, ES.S.table, ES.plus, ES.star
     invertible = np.isin(np.arange(n), invertible_morphisms(ES))
     x = np.flatnonzero(~invertible)
@@ -321,9 +316,9 @@ def semisimple_image_check(ES, order="r") -> SemisimpleReport:
     restriction" and "EI".  Outside them the raw quantities are still computed
     and reported, flagged as outside the theorem, and semisimple_check is None.
     """
-    left, _ = is_left_restriction(ES)
-    right, _ = is_right_restriction(ES)
-    ei, _ = is_ei(ES)
+    left = left_restriction_failure(ES) is None
+    right = right_restriction_failure(ES) is None
+    ei = ei_report(ES).is_ei
     outside = not ((left or right) and ei)
 
     reg = list(reg_e(ES).elements)  # the invertible morphisms

@@ -131,18 +131,26 @@ def _associativity_failure(S):
     return None
 
 
-def associativity_witness(t):
+def associativity_witness(t, composable=None):
     """The first (x, y, z) in row-major order with (xy)z != x(yz), or None.
 
-    t is a square int array; one (y, z) block of n^2 entries per x.
+    t is a square int array; one (y, z) block of n^2 entries per x.  With
+    composable, an (n, n) bool mask, only the triples with composable[x, y]
+    and composable[y, z] count (a category's associativity), and the block
+    of x holds only the rows y with composable[x, y].
     """
+    arange = np.arange(len(t))
     for x in range(len(t)):
+        ys = slice(None) if composable is None else np.flatnonzero(composable[x])
         # Named, so each block is freed only when the next one exists: two
         # blocks freed together were handed back to the system and faulted in
         # again page by page, three times slower on pt:4.
-        left = t[t[x]]       # left[y][z] = (x*y)*z
-        right = t[x][t]      # right[y][z] = x*(y*z)
-        found = first_witness(left != right, ("y", "z"))
+        left = t[t[x, ys]]   # left[i][z] = (x*y_i)*z
+        right = t[x][t[ys]]  # right[i][z] = x*(y_i*z)
+        bad = left != right
+        if composable is not None:
+            bad &= composable[ys]
+        found = first_witness(bad, ("y", "z"), y=arange[ys])
         if found:
             return {"x": x, **found}
     return None

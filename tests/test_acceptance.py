@@ -19,14 +19,14 @@ from semicat import (
     invert,
     invertible_morphisms,
     is_inverse,
-    is_left_restriction,
-    is_right_restriction,
+    left_restriction_failure,
     moebius,
     mul_category,
     phi,
     radical_oracle,
     radical_span,
     rebuild_semigroup,
+    right_restriction_failure,
     semisimple_image_check,
     subsemilattice_violation,
     sum_down,
@@ -86,8 +86,8 @@ def test_criterion_3_bijectivity_without_restriction(b2):
     rep = verify_isomorphism(b2)
     ok = (
         rep.bijection
-        and not is_left_restriction(b2)[0]
-        and not is_right_restriction(b2)[0]
+        and left_restriction_failure(b2) is not None
+        and right_restriction_failure(b2) is not None
         and not rep.homomorphism
     )
     report(3, ok, "phi/psi mutually inverse on B_2 although phi is not multiplicative")
@@ -103,8 +103,8 @@ def test_criterion_4_classification_golden_table(zoo_members):
             "size": es.n,
             "e_size": len(es.E),
             "ehresmann": True,
-            "left_restriction": is_left_restriction(es)[0],
-            "right_restriction": is_right_restriction(es)[0],
+            "left_restriction": left_restriction_failure(es) is None,
+            "right_restriction": right_restriction_failure(es) is None,
             "ei": ei_report(es).is_ei,
             "inverse": is_inverse(es.S),
         }

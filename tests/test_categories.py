@@ -21,12 +21,13 @@ from semicat.errors import (
     SemicatError,
 )
 from semicat.reports import VerificationReport
+from semicat.semigroups import FiniteSemigroup, associativity_failure
 
 
 def replaced(C, **changes):
     """The category with C's fields but for the given ones, built by its constructor."""
     fields = dict(n=C.n, objects=C.objects, dom=C.dom, cod=C.cod, table=C.table,
-                  leq_r=C.leq_r, leq_l=C.leq_l)
+                  leq_r=C.leq_r, leq_l=C.leq_l, semigroup=C.semigroup)
     return EhresmannCategory(**{**fields, **changes})
 
 
@@ -414,7 +415,10 @@ def printed(report):
 def test_verify_axioms_reports_as_the_loops_do_on_the_zoo(zoo_members):
     for name, es in zoo_members.items():
         C = build_category(es)
-        assert printed(verify_axioms(C)) == printed(reference_verify_axioms(C)), name
+        expect = printed(reference_verify_axioms(C))
+        # built directly, without its semigroup, C's associativity is swept
+        for category in (C, replaced(C, semigroup=None)):
+            assert printed(verify_axioms(category)) == expect, name
 
 
 def _flip(rows, x, y):
@@ -448,11 +452,46 @@ def test_verify_axioms_reports_as_the_loops_do_on_single_field_mutants(zoo_membe
     failed = set()
     for trial in range(350):
         C = single_field_mutant(build_category(zoo_members[MUTANT_BASES[trial % len(MUTANT_BASES)]]), rng)
-        (got, got_text), (expect, expect_text) = printed(verify_axioms(C)), printed(reference_verify_axioms(C))
-        assert got == expect and got_text == expect_text, trial
+        (expect, expect_text) = printed(reference_verify_axioms(C))
+        for category in (C, replaced(C, semigroup=None)):
+            (got, got_text) = printed(verify_axioms(category))
+            assert got == expect and got_text == expect_text, trial
         failed.update(c["name"] for c in got["checks"] if not c["passed"])
     # the mutants reach every check
     assert failed == {c["name"] for c in expect["checks"]}
+
+
+def associativity(C):
+    return verify_axioms(C)["category[associativity]"]
+
+
+def test_a_changed_table_is_swept_though_the_category_keeps_its_semigroup(pt2):
+    # a composable triple of pt:2 broken in a copy of the table: S's Light's
+    # test covers S's own array, not this one
+    C = build_category(pt2)
+    rows = C.table.tolist()
+    x, y = next((x, y) for x in range(C.n) for y in range(C.n)
+                if x not in C.objects and C.composable(x, y))
+    rows[x][y] = next(v for v in range(C.n) if v != rows[x][y] and C.cod[v] == C.cod[y])
+    bad = replaced(C, table=rows)
+    assert bad.semigroup is pt2.S and bad.table is not pt2.S.table
+    got, expect = associativity(bad), reference_verify_axioms(bad)["category[associativity]"]
+    assert not got.passed and got == expect
+
+
+def test_a_semigroup_failing_only_off_the_composable_triples_leaves_the_category_associative(b2):
+    # an entry x*y with cod x != dom y is read by no composable triple
+    C = build_category(b2)
+    rows = C.table.tolist()
+    x, y = next((x, y) for x in range(C.n) for y in range(C.n)
+                if x not in C.objects and y not in C.objects and not C.composable(x, y))
+    rows[x][y] = (rows[x][y] + 1) % C.n
+    S = FiniteSemigroup(C.n, rows)
+    assert associativity_failure(S) is not None
+    category = replaced(C, table=S.table, semigroup=S)
+    assert category.table is S.table
+    got, expect = associativity(category), reference_verify_axioms(category)["category[associativity]"]
+    assert got.passed and got == expect
 
 
 def rebuild_outcome(build, C):
@@ -518,3 +557,4 @@ def test_stored_arrays_are_read_only(pt2):
             array[first] = array[first]
     assert (pt2.S.table.dtype, pt2.plus.dtype, pt2.leq_r.dtype) == (np.int64, np.int64, bool)
     assert C.table is pt2.S.table and C.dom is pt2.plus  # the category shares the arrays
+    assert C.semigroup is pt2.S

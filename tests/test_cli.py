@@ -433,13 +433,17 @@ def spy(monkeypatch, module, name, calls):
 
 def test_check_sweeps_associativity_once(monkeypatch, capsys):
     # validate proves the table associative by Light's test over one generating
-    # set; variety identity 11 reads that result, and no exhaustive sweep runs
+    # set; variety identity 11 and the category's associativity read that
+    # result, and no exhaustive sweep runs
     calls = []
     for name in ("associativity_witness", "_associativity_failure", "_generating_set"):
         spy(monkeypatch, semigroups, name, calls)
-    code, _, _ = run(capsys, "check", "--zoo", "op:4")
-    assert code == 0
-    assert sorted(calls) == ["_associativity_failure", "_generating_set"]
+    spy(monkeypatch, categories, "associativity_witness", calls)
+    for spec in ("op:4", "t:4", "b:3"):
+        calls.clear()
+        code, _, _ = run(capsys, "check", "--zoo", spec)
+        assert code == 0, spec
+        assert sorted(calls) == ["_associativity_failure", "_generating_set"], spec
 
 
 def test_passing_iso_runs_no_exhaustive_sweep(monkeypatch, capsys):
@@ -469,6 +473,21 @@ def test_rep_builds_the_category_and_ei_report_once(monkeypatch, capsys, tmp_pat
     code, _, _ = run(capsys, "rep", "--zoo", "op:3", "--emit-category", str(tmp_path / "c.json"))
     assert code == 0
     assert sorted(calls) == ["category", "ei"]
+
+
+@pytest.mark.parametrize("spec", [None, "t:2"])
+def test_rep_reports_the_smallest_non_ei_inputs(tmp_path, capsys, spec):
+    # {0, 1} with E = {1} (read with --input) and t:2 have order 2 and 4: 0 is a
+    # loop at the object 1 with no inverse, so End(1) is no group
+    path, report = tmp_path / "semilattice.json", tmp_path / "rep.json"
+    path.write_text(json.dumps({"table": [[0, 0], [0, 1]], "E": [1]}))
+    source = ["--zoo", spec] if spec else ["--input", str(path)]
+    code, out, _ = run(capsys, "rep", *source, "--report", str(report))
+    assert code == 0
+    assert "PASS  is_EI: False" in out
+    result = json.loads(report.read_text())["result"]
+    assert result["is_EI"] is False and result["semisimple_check"] is None
+    assert result["ei"]["witness"] == {"object": 1, "endomorphism": 0}
 
 
 def test_reports_hold_numpy_scalars_as_python_values():

@@ -12,10 +12,10 @@ from semicat import (
     derive_structure,
     green,
     idempotents,
-    is_left_restriction,
-    is_right_restriction,
+    left_restriction_failure,
     maximal_subsemilattices,
     order_containment,
+    right_restriction_failure,
     subsemilattice_violation,
     tilde_relations,
     validate,
@@ -234,9 +234,8 @@ def test_variety_roundtrip_equivalence_on_mutations(zoo_members):
 ])
 def test_restriction_classification(zoo_members, member, left, right):
     es = zoo_members[member]
-    got_left, wl = is_left_restriction(es)
-    got_right, wr = is_right_restriction(es)
-    assert got_left == left and got_right == right
+    wl, wr = left_restriction_failure(es), right_restriction_failure(es)
+    assert (wl is None, wr is None) == (left, right)
     t = es.S.table
     if not left:
         a, e = wl
@@ -519,15 +518,15 @@ def reference_check_variety(S, plus, star):
 
 
 def reference_restriction(ES, side):
-    """ae = (ae)+ a (side "left") or ea = a (ea)* (side "right") for all a, e."""
+    """The first (a, e) failing ae = (ae)+ a (side "left") or ea = a (ea)* (side "right")."""
     t = ES.S.table
     for a in range(ES.n):
         for e in ES.E:
             if side == "left" and t[a][e] != t[ES.plus[t[a][e]]][a]:
-                return False, (a, e)
+                return (a, e)
             if side == "right" and t[e][a] != t[a][ES.star[t[e][a]]]:
-                return False, (a, e)
-    return True, None
+                return (a, e)
+    return None
 
 
 def reference_containment(inner, outer):
@@ -557,8 +556,8 @@ def test_check_variety_holds_one_identity_mask_at_a_time():
 def assert_checks_match_the_loops(es):
     assert check_variety(es.S, es.plus, es.star).to_json() == \
         reference_check_variety(es.S, es.plus, es.star).to_json()
-    assert is_left_restriction(es) == reference_restriction(es, "left")
-    assert is_right_restriction(es) == reference_restriction(es, "right")
+    assert left_restriction_failure(es) == reference_restriction(es, "left")
+    assert right_restriction_failure(es) == reference_restriction(es, "right")
     got = order_containment(es)
     assert (got.l_in_r, got.l_in_r_witness) == reference_containment(es.leq_l, es.leq_r)
     assert (got.r_in_l, got.r_in_l_witness) == reference_containment(es.leq_r, es.leq_l)
@@ -592,8 +591,8 @@ def test_checks_match_the_loops_on_mutated_maps_and_tables(zoo_members):
         report = check_variety(mutant.S, mutant.plus, mutant.star)
         failed.update(c.name for c in report.failures())
         containment = order_containment(mutant)
-        failed.update(name for name, ok in (("left", is_left_restriction(mutant)[0]),
-                                            ("right", is_right_restriction(mutant)[0]),
+        failed.update(name for name, ok in (("left", left_restriction_failure(mutant) is None),
+                                            ("right", right_restriction_failure(mutant) is None),
                                             ("l_in_r", containment.l_in_r),
                                             ("r_in_l", containment.r_in_l)) if not ok)
     # the mutants reach every identity and fail every restriction and containment check

@@ -20,11 +20,11 @@ PUBLIC = [
     "basis_element", "build_category", "categories", "category_to_json", "check_variety",
     "corestriction", "derive_structure", "ehresmann", "ei_report", "element", "errors",
     "format_element", "from_interchange", "green", "idempotents", "identity_of", "invert",
-    "invertible_morphisms", "is_ei", "is_inverse", "is_left_restriction",
-    "is_right_restriction", "linalg", "maximal_subsemilattices", "moebius", "mul_category",
-    "mul_semigroup", "opposite", "order_containment", "order_poset", "phi", "posets",
-    "product", "psi", "radical_oracle", "radical_span", "rebuild_semigroup", "reg_e",
-    "reports", "reptheory", "restriction", "semigroups", "semisimple_image_check",
+    "invertible_morphisms", "is_inverse", "left_restriction_failure", "linalg",
+    "maximal_subsemilattices", "moebius", "mul_category", "mul_semigroup", "opposite",
+    "order_containment", "order_poset", "phi", "posets", "product", "psi", "radical_oracle",
+    "radical_span", "rebuild_semigroup", "reg_e", "reports", "reptheory", "restriction",
+    "right_restriction_failure", "semigroups", "semisimple_image_check",
     "subsemigroup", "subsemilattice_violation", "sum_down", "tilde_relations",
     "to_interchange", "unit", "validate", "verify_axioms", "verify_isomorphism", "zoo",
 ]

@@ -12,8 +12,8 @@ from semicat import (
     derive_structure,
     ei_report,
     is_inverse,
-    is_left_restriction,
-    is_right_restriction,
+    left_restriction_failure,
+    right_restriction_failure,
     subsemigroup,
     subsemilattice_violation,
     to_interchange,
@@ -141,7 +141,7 @@ def test_strong_semilattice_category_only_endomorphisms(ssl):
 
 def test_strong_semilattice_is_inverse_and_restriction(ssl):
     assert is_inverse(ssl.S)
-    assert is_left_restriction(ssl)[0] and is_right_restriction(ssl)[0]
+    assert left_restriction_failure(ssl) is None and right_restriction_failure(ssl) is None
 
 
 def test_strong_semilattice_rejects_bad_maps():
@@ -249,8 +249,8 @@ def test_b_n_matches_loop_reference(n):
 
 def test_order_preserving_pt3_is_closed_and_left_restriction(op3):
     assert op3.n == 38
-    assert is_left_restriction(op3)[0]
-    assert not is_right_restriction(op3)[0]
+    assert left_restriction_failure(op3) is None
+    assert right_restriction_failure(op3) is not None
     assert ei_report(op3).is_ei
 
 
@@ -324,8 +324,8 @@ def test_classification_golden_table(zoo_members):
             "size": es.n,
             "e_size": len(es.E),
             "ehresmann": True,  # construction would have raised otherwise
-            "left_restriction": is_left_restriction(es)[0],
-            "right_restriction": is_right_restriction(es)[0],
+            "left_restriction": left_restriction_failure(es) is None,
+            "right_restriction": right_restriction_failure(es) is None,
             "ei": ei_report(es).is_ei,
             "inverse": is_inverse(es.S),
         }
@@ -336,7 +336,8 @@ def test_inverse_members_are_restriction(zoo_members):
     # every inverse-semigroup member with E = E(S) is a restriction semigroup
     for key, es in zoo_members.items():
         if is_inverse(es.S):
-            assert is_left_restriction(es)[0] and is_right_restriction(es)[0], key
+            assert left_restriction_failure(es) is None, key
+            assert right_restriction_failure(es) is None, key
 
 
 # Loop-based constructors, kept as the reference the vectorised ones must match.
