@@ -11,12 +11,12 @@ The two linear maps realized here, on basis elements and extended linearly:
 
 with <= one of the two natural orders (the right order by default) and mu its
 Moebius function.  As matrices, phi is the order's zeta matrix Z (Z[b, a] is
-b <= a) and psi its integer Moebius matrix (posets.order_data); both maps read
-the nonzeros of a column.  phi and psi are mutually inverse bijections for
-every Ehresmann structure; phi is multiplicative whenever the left-restriction
-identity holds (dually for the left order), and verify_isomorphism separates
-the composable-pair half of the sweep from the rest so a failure certificate
-pins down exactly which half broke.
+b <= a) and psi its integer Moebius matrix (posets.order_data); both maps, and
+the hom sweep, read the down-sets of the order's index (FinitePoset.down).  phi
+and psi are mutually inverse bijections for every Ehresmann structure; phi is
+multiplicative whenever the left-restriction identity holds (dually for the
+left order), and verify_isomorphism separates the composable-pair half of the
+sweep from the rest so a failure certificate pins down exactly which half broke.
 """
 
 from collections import namedtuple
@@ -24,9 +24,10 @@ from collections import namedtuple
 import numpy as np
 
 from .errors import BasisMismatchError
-from .posets import natural_order, order_data
+from .posets import order_data, order_poset
 from .reports import record_json
-from .semigroups import associativity_failure, generators, read_only
+from .semigroups import (associativity_failure, check_indices, concat_ranges, generators,
+                         group_keys, read_only)
 
 SEMIGROUP = "semigroup"
 CATEGORY = "category"
@@ -93,6 +94,7 @@ def basis_element(basis, i) -> AlgebraElement:
 
 
 def _mul_partial(table, cod, dom, u, v):
+    check_indices(len(table), [*u, *v])
     acc = {}
     for i, ci in u.items():
         row = table[i]
@@ -122,29 +124,26 @@ def mul_category(C, u, v) -> AlgebraElement:
     return element(CATEGORY, _mul_partial(C.table, C.cod, C.dom, u.coeffs, v.coeffs))
 
 
-def phi(ES, u, order="r") -> AlgebraElement:
-    """Down-set sum into the category algebra, extended linearly."""
-    if u.basis != SEMIGROUP:
-        raise BasisMismatchError(SEMIGROUP, u.basis)
-    leq = natural_order(ES, order)
+def _down_sum(u, source, target, P, matrix):
+    """The sum of c matrix[b, a] target(b) over the terms c source(a) of u and the b <= a in P."""
+    if u.basis != source:
+        raise BasisMismatchError(source, u.basis)
     acc = {}
     for a, ca in u.coeffs.items():
-        for b in np.flatnonzero(leq[:, a]).tolist():
-            acc[b] = acc.get(b, 0) + ca
-    return element(CATEGORY, acc)
+        for b in P.below(a):
+            acc[b] = acc.get(b, 0) + ca * int(matrix[b, a])
+    return element(target, acc)
+
+
+def phi(ES, u, order="r") -> AlgebraElement:
+    """Down-set sum into the category algebra, extended linearly."""
+    P = order_poset(ES, order)
+    return _down_sum(u, SEMIGROUP, CATEGORY, P, P.zeta)
 
 
 def psi(ES, u, order="r") -> AlgebraElement:
     """Moebius-weighted down-set sum into the semigroup algebra."""
-    if u.basis != CATEGORY:
-        raise BasisMismatchError(CATEGORY, u.basis)
-    mu = order_data(ES, order)
-    acc = {}
-    for x, cx in u.coeffs.items():
-        column = mu[:, x]
-        for y in np.flatnonzero(column).tolist():
-            acc[y] = acc.get(y, 0) + cx * int(column[y])
-    return element(SEMIGROUP, acc)
+    return _down_sum(u, CATEGORY, SEMIGROUP, order_poset(ES, order), order_data(ES, order))
 
 
 def unit(ES) -> AlgebraElement:
@@ -178,29 +177,18 @@ class IsoReport(namedtuple("IsoReport", [
                            case2_failures="hom_case2_failures") | {"passed": self.passed}
 
 
-def _ranges(starts, lengths):
-    """The concatenation of arange(s, s + l) over paired starts and lengths."""
-    ends = np.cumsum(lengths)
-    return np.repeat(starts - (ends - lengths), lengths) + np.arange(ends[-1] if ends.size else 0)
-
-
-def _pointers(rows, n):
-    """Start offsets of rows 0..n (CSR row pointers) of pairs sorted by row."""
-    return np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
-
-
-def _hom_sweep(t, cod, dom, leq):
+def _hom_sweep(t, cod, dom, down):
     """The pairs (a, b) with phi(a)phi(b) != phi(ab), as (composable, other) lists.
 
     Both lists come out in lexicographic order.
     """
     case1, case2 = [], []
-    for a, b in _hom_failures(t, cod, dom, leq, range(len(t))):
+    for a, b in _hom_failures(t, cod, dom, down, range(len(t))):
         (case1 if cod[a] == dom[b] else case2).append((a, b))
     return case1, case2
 
 
-def _hom_failures(t, cod, dom, leq, rows):
+def _hom_failures(t, cod, dom, down, rows):
     """The pairs (a, b) with phi(a)phi(b) != phi(ab) for a in rows, lazily, row by row.
 
     phi has 0/1 coefficients, so phi(a)phi(b) = phi(ab) holds exactly when the
@@ -209,25 +197,22 @@ def _hom_failures(t, cod, dom, leq, rows):
     over every x <= a, every y with dom y = cod x and every b >= y; the right
     side, sorted by construction, from the down-sets of the row ab.  Rows b
     whose key counts or keys differ are the failing pairs, in ascending
-    order; memory is the keys of one a.
+    order; memory is the keys of one a.  `down` is the order's down_sets.
     """
     n = len(t)
-    tops, down = np.nonzero(leq.T)  # down[down_ptr[c]:down_ptr[c + 1]]: the y <= c
-    down_ptr = _pointers(tops, n)
-    down_len = np.diff(down_ptr)
-    below, above = np.nonzero(leq)  # the pairs y <= b, grouped by dom y below
-    by_dom = np.argsort(dom[below], kind="stable")
-    pair_y, pair_b = below[by_dom], above[by_dom] * n
-    pair_ptr = _pointers(dom[pair_y], n)
-    pair_len = np.diff(pair_ptr)
+    ptr, below = down
+    down_len = np.diff(ptr)
     block = np.arange(n) * n
+    by_dom, pair_ptr = group_keys(dom[below], n)  # the pairs y <= b, grouped by dom y
+    pair_y, pair_b = below[by_dom], np.repeat(block, down_len)[by_dom]
+    pair_len = np.diff(pair_ptr)
     for a in rows:
-        xs = down[down_ptr[a]:down_ptr[a + 1]]
+        xs = below[ptr[a]:ptr[a + 1]]
         lengths = pair_len[cod[xs]]
-        idx = _ranges(pair_ptr[cod[xs]], lengths)
+        idx = concat_ranges(pair_ptr[cod[xs]], lengths)
         got = np.sort(pair_b[idx] + t[np.repeat(xs, lengths), pair_y[idx]])
         wanted = down_len[t[a]]
-        want = np.repeat(block, wanted) + down[_ranges(down_ptr[t[a]], wanted)]
+        want = np.repeat(block, wanted) + below[concat_ranges(ptr[t[a]], wanted)]
         if got.size == want.size and np.array_equal(got, want):
             continue
         bad = np.bincount(got // n, minlength=n) != wanted
@@ -237,7 +222,7 @@ def _hom_failures(t, cod, dom, leq, rows):
             yield a, b
 
 
-def _multiplicative_on_generators(ES, leq):
+def _multiplicative_on_generators(ES, down):
     """Whether phi(a)phi(g) = phi(ag) for all a in S, g in G = generators(S) proves phi a hom.
 
     By induction on the length of a left-normed word b'g over G:
@@ -258,7 +243,7 @@ def _multiplicative_on_generators(ES, leq):
     xy = t[x, y]
     if (dom[xy] != dom[x]).any() or (cod[xy] != cod[y]).any():
         return False
-    return next(_hom_failures(t.T, dom, cod, leq, generators(S).tolist()), None) is None
+    return next(_hom_failures(t.T, dom, cod, down, generators(S).tolist()), None) is None
 
 
 def verify_isomorphism(ES, order="r") -> IsoReport:
@@ -274,13 +259,13 @@ def verify_isomorphism(ES, order="r") -> IsoReport:
     (a* = b+); the first in lexicographic order is expanded into a printable
     certificate.
     """
-    leq = natural_order(ES, order)
     n, table, cod, dom = ES.n, ES.S.table, ES.star, ES.plus
     order_data(ES, order)  # the certified inverse of phi
-    if _multiplicative_on_generators(ES, leq):
+    down = order_poset(ES, order).down
+    if _multiplicative_on_generators(ES, down):
         case1, case2 = [], []
     else:
-        case1, case2 = _hom_sweep(table, cod, dom, leq)
+        case1, case2 = _hom_sweep(table, cod, dom, down)
 
     expansion = None
     heads = case1[:1] + case2[:1]  # each list is in lexicographic order

@@ -21,10 +21,10 @@ from .errors import (
     NotComposableError,
 )
 from .linalg import exact_matmul
-from .posets import poset_violation
+from .posets import down_sets, poset_violation
 from .reports import VerificationReport, first_witness
-from .semigroups import (associativity_failure, associativity_witness, freeze_fields, kept,
-                         read_only, validate)
+from .semigroups import (associativity_failure, associativity_witness, check_indices, class_ids,
+                         freeze_fields, group_keys, kept, read_only, validate)
 
 
 class EhresmannCategory:
@@ -39,7 +39,7 @@ class EhresmannCategory:
         freeze_fields(self, dom=np.int64, cod=np.int64, table=np.int64, leq_r=bool, leq_l=bool)
 
     def composable(self, x, y):
-        _check_morphisms(self, x, y)
+        check_indices(self.n, (x, y), "morphism")
         return bool(self.cod[x] == self.dom[y])
 
     def compose(self, x, y):
@@ -80,16 +80,9 @@ def _category(ES):
     )
 
 
-def _check_morphisms(C, *morphisms):
-    """Raise ValueError naming the first index outside 0..n-1, which numpy would wrap or reject."""
-    for x in morphisms:
-        if not 0 <= x < C.n:
-            raise ValueError(f"morphism {x} is outside 0..{C.n - 1}")
-
-
 def restriction(C, e, x):
     """(e | x): the unique y <=_r x with dom(y) = e, realized as the product e*x."""
-    _check_morphisms(C, x)
+    check_indices(C.n, (x,), "morphism")
     if e not in C.objects or not C.object_leq(e, C.dom[x]):
         raise NotBelowDomainError(e, x)
     return int(C.table[e, x])
@@ -97,7 +90,7 @@ def restriction(C, e, x):
 
 def corestriction(C, x, e):
     """(x | e): the unique y <=_l x with cod(y) = e, realized as the product x*e."""
-    _check_morphisms(C, x)
+    check_indices(C.n, (x,), "morphism")
     if e not in C.objects or not C.object_leq(e, C.cod[x]):
         raise NotBelowRangeError(x, e)
     return int(C.table[x, e])
@@ -197,17 +190,17 @@ def _identity_witness(t, dom, cod, objects):
 def _co2_witness(t, dom, cod, leq):
     """CO2: x <= y, u <= v, cod x = dom u, cod y = dom v imply xu <= yv.
 
-    The pairs (u, v) are grouped by (dom u, dom v), so each group is swept
-    against the pairs (x, y) with those codomains.  A pair (x, y) meets one
-    group only, so taking the groups in any order and keeping the least
-    (x, y), then the least (u, v), in pair order gives the loop's witness.
+    The pairs (u, v) are grouped by (dom u, dom v) and the pairs (x, y) by
+    (cod x, cod y) under one class_ids numbering.  A pair (x, y) meets one key
+    only, so sweeping each key's (x, y) against its (u, v), in any key order,
+    and keeping the least (x, y), then the least (u, v), gives the loop's witness.
     """
     xs, ys = np.nonzero(leq)
-    n = len(t)
-    groups = [_group_by(dom[xs] * n + dom[ys]), _group_by(cod[xs] * n + cod[ys])]
+    keys = class_ids(np.stack([np.r_[dom[xs], cod[xs]], np.r_[dom[ys], cod[ys]]], axis=1))
+    (uv_order, uv_ptr), (xy_order, xy_ptr) = (group_keys(h, len(keys)) for h in np.split(keys, 2))
     best = None
-    for key in groups[0].keys() & groups[1].keys():
-        uv, xy = groups[0][key], groups[1][key]
+    for k in np.flatnonzero((np.diff(uv_ptr) > 0) & (np.diff(xy_ptr) > 0)).tolist():
+        uv, xy = uv_order[uv_ptr[k]:uv_ptr[k + 1]], xy_order[xy_ptr[k]:xy_ptr[k + 1]]
         if best is not None:
             xy = xy[xy < best[0]]
         found = first_witness(~leq[t[xs[xy, None], xs[uv]], t[ys[xy, None], ys[uv]]],
@@ -218,13 +211,6 @@ def _co2_witness(t, dom, cod, leq):
         return None
     p, q = best
     return {"x": int(xs[p]), "y": int(ys[p]), "u": int(xs[q]), "v": int(ys[q])}
-
-
-def _group_by(keys):
-    """{key: ascending positions holding it}."""
-    order = np.argsort(keys, kind="stable")
-    values, starts = np.unique(keys[order], return_index=True)
-    return dict(zip(values.tolist(), np.split(order, starts[1:])))
 
 
 def _restriction_witness(t, end, below, object_leq, objects):
@@ -243,7 +229,8 @@ def _restriction_witness(t, end, below, object_leq, objects):
     if found is None:
         return None
     x, e = found["x"], found["e"]
-    return x, e, np.flatnonzero(below[:, x] & (end == e)).tolist()
+    ptr, down = down_sets(below)
+    return x, e, [y for y in down[ptr[x]:ptr[x + 1]].tolist() if end[y] == e]
 
 
 def _meet_witness(r, objects, meets):

@@ -32,10 +32,10 @@ from .semigroups import (
 class EhresmannStructure:
     __setattr__ = __delattr__ = read_only
 
-    def __init__(self, S, E, plus, star, leq_r, leq_l):
+    def __init__(self, S, E, plus, star, leq_r, leq_l, tilde=None):
         # E: sorted indices of the distinguished semilattice; plus: a -> a+; star: a -> a*;
-        # leq_r[a, b] iff a <=_r b
-        vars(self).update(S=S, E=E, plus=plus, star=star, leq_r=leq_r, leq_l=leq_l)
+        # leq_r[a, b] iff a <=_r b; tilde: the TildeClasses derive_structure computed, or None
+        vars(self).update(S=S, E=E, plus=plus, star=star, leq_r=leq_r, leq_l=leq_l, tilde=tilde)
         freeze_fields(self, plus=np.int64, star=np.int64, leq_r=bool, leq_l=bool)
 
     @property
@@ -91,7 +91,7 @@ def derive_structure(S, E) -> EhresmannStructure:
 
     column = np.arange(S.n)[:, None]
     # a <=_r b iff a = a+ b, and a <=_l b iff a = b a*
-    return EhresmannStructure(S, E, p, s, t[p, :] == column, t[:, s].T == column)
+    return EhresmannStructure(S, E, p, s, t[p, :] == column, t[:, s].T == column, tilde)
 
 
 def _representatives(side, index, E):

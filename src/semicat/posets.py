@@ -5,7 +5,7 @@ import numpy as np
 from .errors import InconsistentComputationError, NotAPosetError
 from .linalg import exact_matmul
 from .reports import first_witness
-from .semigroups import freeze_fields, kept, read_only
+from .semigroups import check_indices, freeze_fields, kept, read_only
 
 
 def poset_violation(leq):
@@ -28,6 +28,14 @@ def poset_violation(leq):
     return None
 
 
+def down_sets(leq):
+    """(ptr, below), read-only: below[ptr[y]:ptr[y + 1]] lists the x with leq[x, y], ascending."""
+    tops, below = np.nonzero(leq.T)
+    ptr = np.searchsorted(tops, np.arange(len(leq) + 1))
+    ptr.flags.writeable = below.flags.writeable = False
+    return ptr, below
+
+
 class FinitePoset:
     __setattr__ = __delattr__ = read_only
 
@@ -44,26 +52,32 @@ class FinitePoset:
         """The order as a tuple of rows of bools, leq[x][y] iff x <= y; hashable."""
         return tuple(map(tuple, self.zeta.tolist()))
 
-    def below(self, x):
-        return np.flatnonzero(self.zeta[:, x]).tolist()
+    @property
+    def down(self):
+        """The down-set index of the order (down_sets), built once per poset."""
+        return kept(self, "_down", lambda P: down_sets(P.zeta))
+
+    def below(self, y):
+        check_indices(self.m, (y,))
+        ptr, down = self.down
+        return down[ptr[y]:ptr[y + 1]].tolist()
 
     def interval(self, x, y):
-        return np.flatnonzero(self.zeta[x] & self.zeta[:, y]).tolist()
+        check_indices(self.m, (x,))
+        return [z for z in self.below(y) if self.zeta[x, z]]
 
 
-def _inverse_zeta(leq, dtype):
-    """Integer inverse of the zeta matrix leq, one column per element.
+def _inverse_zeta(P, dtype):
+    """Integer inverse of the zeta matrix of P, one column per element.
 
-    mu(x, y) = [x = y] - sum of mu(x, z) over z < y, with y running through a
-    linear extension (by down-set size), so every column it reads is final.
+    mu(x, y) = [x = y] - sum of mu(x, z) over z < y, for x, z in down(y) (mu is 0 off the
+    order), with y in a linear extension (by down-set size), so every column it reads is final.
     """
-    m = len(leq)
-    mu = np.zeros((m, m), dtype=dtype)
-    for y in np.argsort(leq.sum(axis=0), kind="stable"):
-        below = np.flatnonzero(leq[:, y])
-        column = -mu[:, below[below != y]].sum(axis=1)
-        column[y] += 1
-        mu[:, y] = column
+    ptr, below = P.down
+    mu = np.zeros((P.m, P.m), dtype=dtype)
+    for y in np.argsort(np.diff(ptr), kind="stable").tolist():
+        down = below[ptr[y]:ptr[y + 1]]
+        mu[down, y] = (down == y) - mu[np.ix_(down, down[down != y])].sum(axis=1)
     return mu
 
 
@@ -79,7 +93,7 @@ def moebius(P) -> np.ndarray:
     order.
     """
     for dtype in (np.int64, object):
-        mu = _inverse_zeta(P.zeta, dtype)
+        mu = _inverse_zeta(P, dtype)
         if (exact_matmul(P.zeta, mu) == np.eye(P.m, dtype=np.int64)).all():
             mu.flags.writeable = False
             return mu
@@ -104,17 +118,12 @@ def invert(P, g, mu=None):
     return (np.array([Fraction(v) for v in g], dtype=object) @ mu).tolist()
 
 
-def natural_order(structure, order="r"):
-    """The boolean matrix leq[x, y] (x <= y) of one natural order of a structure."""
+def order_poset(structure, order="r") -> FinitePoset:
+    """The natural order of a structure or category as a poset, and its down-sets, kept per order."""
     if order not in ("r", "l"):
         raise ValueError("order must be 'r' or 'l'")
-    return structure.leq_r if order == "r" else structure.leq_l
-
-
-def order_poset(structure, order="r") -> FinitePoset:
-    """The natural order of an Ehresmann structure or category as a poset."""
-    leq = natural_order(structure, order)
-    return FinitePoset(len(leq), leq)
+    leq = structure.leq_r if order == "r" else structure.leq_l
+    return kept(structure, f"_poset_{order}", lambda s: FinitePoset(len(leq), leq))
 
 
 def order_data(structure, order="r") -> np.ndarray:

@@ -126,7 +126,7 @@ def ei_report(ES) -> EIReport:
 
 def _ei_report(ES):
     g = green(ES.S)
-    tilde = tilde_relations(ES.S, ES.E)
+    tilde = tilde_relations(ES.S, ES.E) if ES.tilde is None else ES.tilde
     n, t, p, s = ES.n, ES.S.table, ES.plus, ES.star
     E = np.array(ES.E, dtype=np.int64)
     e = E[:, None]

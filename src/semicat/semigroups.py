@@ -238,10 +238,29 @@ def class_ids(keys):
     return rank[inverse.reshape(-1)]
 
 
+def group_keys(keys, size=0):
+    """(order, ptr): order[ptr[k]:ptr[k + 1]] lists the positions of the integer key k, ascending."""
+    order = np.argsort(keys, kind="stable")
+    return order, np.concatenate(([0], np.cumsum(np.bincount(keys, minlength=size))))
+
+
+def concat_ranges(starts, lengths):
+    """The concatenation of arange(s, s + l) over paired starts and lengths: CSR rows gathered."""
+    ends = np.cumsum(lengths)
+    return np.repeat(starts - (ends - lengths), lengths) + np.arange(ends[-1] if ends.size else 0)
+
+
 def class_members(ids):
     """The members of each class, ascending, as a list of tuples in class id order."""
-    order = np.argsort(ids, kind="stable")
-    return [tuple(c.tolist()) for c in np.split(order, np.cumsum(np.bincount(ids))[:-1])]
+    order, ptr = group_keys(ids)
+    return [tuple(order[lo:hi].tolist()) for lo, hi in zip(ptr[:-1].tolist(), ptr[1:].tolist())]
+
+
+def check_indices(n, indices, what="element"):
+    """Raise ValueError naming the first index outside 0..n-1, which numpy would wrap or reject."""
+    for i in indices:
+        if not 0 <= i < n:
+            raise ValueError(f"{what} {i} is outside 0..{n - 1}")
 
 
 def green(S) -> GreenData:

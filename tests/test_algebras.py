@@ -32,7 +32,6 @@ from semicat.algebras import _mul_partial
 from semicat.cli import main
 from semicat.ehresmann import EhresmannStructure
 from semicat.errors import BasisMismatchError
-from semicat.posets import natural_order
 from semicat.semigroups import FiniteSemigroup
 
 A, B, EMPTY = 3, 1, 0  # in B_2: {(1,1),(1,2)}, {(1,1)}, {}
@@ -115,6 +114,31 @@ def test_algebra_products_associative_on_random_triples(pt2, b2):
 def test_b2_semigroup_product_of_counterexample_pair(b2):
     got = mul_semigroup(b2, basis_element("semigroup", A), basis_element("semigroup", B))
     assert got.coeffs == {B: 1}  # ab = {(1,1)}
+
+
+# one call per function, each with a basis index outside 0..8 on the side it reads
+OUT_OF_RANGE = {
+    "phi": lambda es, i: phi(es, basis_element("semigroup", i)),
+    "phi-l": lambda es, i: phi(es, basis_element("semigroup", i), "l"),
+    "psi": lambda es, i: psi(es, basis_element("category", i)),
+    "psi-l": lambda es, i: psi(es, basis_element("category", i), "l"),
+    "mul_semigroup-left": lambda es, i: mul_semigroup(
+        es, basis_element("semigroup", i), basis_element("semigroup", 0)),
+    "mul_semigroup-right": lambda es, i: mul_semigroup(
+        es, basis_element("semigroup", 0), basis_element("semigroup", i)),
+    "mul_category-left": lambda es, i: mul_category(
+        build_category(es), basis_element("category", i), basis_element("category", 0)),
+    "mul_category-right": lambda es, i: mul_category(
+        build_category(es), basis_element("category", 0), basis_element("category", i)),
+}
+
+
+@pytest.mark.parametrize("call", OUT_OF_RANGE)
+@pytest.mark.parametrize("bad", [-1, 9])
+def test_out_of_range_basis_indices_raise_instead_of_wrapping(pt2, call, bad):
+    # index -1 was read as 8: phi(S(-1)) gave C(8), psi(C(-1)) S(8) and S(-1) S(0) S(8)
+    with pytest.raises(ValueError, match=f"^element {bad} is outside 0..8$"):
+        OUT_OF_RANGE[call](pt2, bad)
 
 
 def test_mul_category_noncomposable_is_zero(pt2):
@@ -261,9 +285,11 @@ def assert_sweep_matches_reference(es):
     reports = {}
     for order in ("r", "l"):
         fast = verify_isomorphism(es, order=order).to_json()
+        leq = posets.order_poset(es, order).zeta
         with pytest.MonkeyPatch.context() as m:
-            m.setattr(algebras, "_multiplicative_on_generators", lambda es, leq: False)
-            m.setattr(algebras, "_hom_sweep", reference_hom_sweep)
+            m.setattr(algebras, "_multiplicative_on_generators", lambda es, down: False)
+            m.setattr(algebras, "_hom_sweep",
+                      lambda t, cod, dom, down: reference_hom_sweep(t, cod, dom, leq))
             reference = verify_isomorphism(es, order=order).to_json()
         assert fast == reference
         reports[order] = reference
@@ -291,7 +317,8 @@ def test_hom_sweep_matches_reference_on_arbitrary_tables(data):
     t = draw_array(st.integers(0, n - 1), n, n).astype(np.int64)
     cod, dom = (draw_array(st.integers(0, n - 1), n).astype(np.int64) for _ in range(2))
     leq = draw_array(st.booleans(), n, n).astype(bool)
-    assert algebras._hom_sweep(t, cod, dom, leq) == reference_hom_sweep(t, cod, dom, leq)
+    down = posets.down_sets(leq)
+    assert algebras._hom_sweep(t, cod, dom, down) == reference_hom_sweep(t, cod, dom, leq)
 
 
 def closed_subsemigroup(es, generators):
@@ -330,7 +357,8 @@ def test_hom_sweep_matches_reference_on_b2_subsemigroups(b2, generators):
 def generator_rows_pass(es, leq):
     """phi(a)phi(g) = phi(ag) for every a and every g in generators(S), without the guards."""
     G = semigroups.generators(es.S).tolist()
-    return next(algebras._hom_failures(es.S.table.T, es.plus, es.star, leq, G), None) is None
+    down = posets.down_sets(leq)
+    return next(algebras._hom_failures(es.S.table.T, es.plus, es.star, down, G), None) is None
 
 
 def changed_structures(es):
@@ -360,7 +388,7 @@ def test_generator_pass_matches_the_full_sweep_on_changed_structures(spec):
         reports = assert_sweep_matches_reference(es)
         for order in "rl":
             failed = reports[order]["hom_case1_failures"] or reports[order]["hom_case2_failures"]
-            guarded += bool(failed) and generator_rows_pass(es, natural_order(es, order))
+            guarded += bool(failed) and generator_rows_pass(es, posets.order_poset(es, order).zeta)
     assert guarded
 
 
@@ -368,9 +396,9 @@ def test_generator_pass_matches_the_full_sweep_on_changed_structures(spec):
 def test_generator_pass_decides_as_the_full_sweep_on_the_zoo(spec):
     es = zoo.parse_zoo_spec(spec)
     for order in "rl":
-        leq = natural_order(es, order)
-        case1, case2 = algebras._hom_sweep(es.S.table, es.star, es.plus, leq)
-        assert algebras._multiplicative_on_generators(es, leq) == (not case1 and not case2)
+        down = posets.order_poset(es, order).down
+        case1, case2 = algebras._hom_sweep(es.S.table, es.star, es.plus, down)
+        assert algebras._multiplicative_on_generators(es, down) == (not case1 and not case2)
 
 
 def test_unit_is_two_sided_identity(pt2):

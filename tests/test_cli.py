@@ -459,6 +459,17 @@ def test_passing_iso_runs_no_exhaustive_sweep(monkeypatch, capsys):
     assert calls == ["_hom_sweep"]
 
 
+@pytest.mark.parametrize("command", ["rep", "iso", "check"])
+def test_each_command_computes_the_tilde_classes_once(monkeypatch, capsys, command):
+    # derive_structure keeps the classes it computed, and ei_report reads them
+    calls = []
+    for module in (ehresmann, reptheory):
+        spy(monkeypatch, module, "tilde_relations", calls)
+    code, _, _ = run(capsys, command, "--zoo", "pt:3")
+    assert code == 0
+    assert calls == ["tilde_relations"]
+
+
 def test_rep_builds_the_category_and_ei_report_once(monkeypatch, capsys, tmp_path):
     # rep reads the structure alone: only --emit-category builds the category
     calls = []

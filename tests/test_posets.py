@@ -76,6 +76,22 @@ def reference_moebius(P):
     return values
 
 
+def reference_inverse_zeta(leq, dtype):
+    """The dense-column recursion the down-set inverse replaced: column y over every row.
+
+    mu(x, y) = [x = y] - sum of mu(x, z) over z < y, with y running through a
+    linear extension by down-set size.
+    """
+    m = len(leq)
+    mu = np.zeros((m, m), dtype=dtype)
+    for y in np.argsort(leq.sum(axis=0), kind="stable"):
+        below = np.flatnonzero(leq[:, y])
+        column = -mu[:, below[below != y]].sum(axis=1)
+        column[y] += 1
+        mu[:, y] = column
+    return mu
+
+
 def reference_sum_down(P, f):
     """g(x) = sum of f(y) over y <= x, one element at a time."""
     f = [Fraction(v) for v in f]
@@ -151,16 +167,66 @@ def test_zeta_inverse_matches_interval_recursion_on_random_posets():
         assert mu.dtype == np.int64
 
 
+def test_down_set_inverse_matches_the_dense_column_recursion(zoo_members):
+    rng = random.Random(8)
+    more = ["t:3", "t:4", "op:4", "b:3", "pt:4"]
+    members = [*zoo_members.values(), *map(zoo.parse_zoo_spec, more)]
+    cases = [order_poset(es, order) for es in members for order in "rl"]
+    cases += [chain(m) for m in (0, 1, 2, 9)] + [antichain(m) for m in (0, 1, 6)]
+    cases += [random_poset(rng, rng.randrange(0, 12)) for _ in range(150)]
+    for P in cases:
+        for dtype in (np.int64, object):
+            got = posets._inverse_zeta(P, dtype)
+            assert got.dtype == dtype
+            assert np.array_equal(got, reference_inverse_zeta(P.zeta, dtype))
+        assert np.array_equal(moebius(P), reference_inverse_zeta(P.zeta, np.int64))
+
+
+def test_down_set_index_lists_each_down_set_in_ascending_order():
+    rng = random.Random(9)
+    for P in [chain(0), chain(1), antichain(4), *(random_poset(rng, rng.randrange(0, 10))
+                                                   for _ in range(100))]:
+        ptr, below = P.down
+        assert ptr.tolist() == [0, *np.cumsum(P.zeta.sum(axis=0)).tolist()]
+        for y in range(P.m):
+            assert below[ptr[y]:ptr[y + 1]].tolist() == P.below(y) == [
+                x for x in range(P.m) if P.leq[x][y]]
+        assert not ptr.flags.writeable and not below.flags.writeable
+        assert P.down is P.down
+
+
+def test_one_down_set_index_per_structure_and_order(pt2):
+    # phi, psi, the Moebius matrix and the hom sweep of one order read one index
+    for order in "rl":
+        P = order_poset(pt2, order)
+        assert order_poset(pt2, order) is P
+        verify_isomorphism(pt2, order)
+        psi(pt2, basis_element("category", 0), order)
+        assert order_poset(pt2, order).down is P.down
+    assert order_poset(pt2, "r").down is not order_poset(pt2, "l").down
+
+
+@pytest.mark.parametrize("call", ["below", "interval-x", "interval-y"])
+@pytest.mark.parametrize("bad", [-1, 9])
+def test_out_of_range_elements_raise_instead_of_wrapping(pt2, call, bad):
+    # below(-1) and interval(-1, 8) read the last column and answered [8]
+    P = order_poset(pt2)
+    args = {"below": (bad,), "interval-x": (bad, 8), "interval-y": (0, bad)}[call]
+    with pytest.raises(ValueError, match=f"^element {bad} is outside 0..8$"):
+        getattr(P, call.split("-")[0])(*args)
+    assert P.interval(0, 8) == [x for x in P.below(8) if P.leq[0][x]]
+
+
 def test_python_int_route_when_the_int64_inverse_is_wrong(monkeypatch):
     # one entry of the int64 inverse off by 2**63, as after a wrap-around: Z M = I
     # fails exactly and the inverse is recomputed in Python ints
     rng = random.Random(6)
     original = posets._inverse_zeta
 
-    def corrupted(leq, dtype):
-        mu = original(leq, dtype)
+    def corrupted(P, dtype):
+        mu = original(P, dtype)
         if dtype is np.int64:
-            x, y = rng.randrange(len(leq)), rng.randrange(len(leq))
+            x, y = rng.randrange(P.m), rng.randrange(P.m)
             mu[x, y] ^= np.int64(-2**63)
         return mu
 
@@ -178,10 +244,10 @@ def test_moebius_raises_when_both_routes_fail_z_m_equals_i(monkeypatch):
     original = posets._inverse_zeta
     routes = []
 
-    def wrong(leq, dtype):
+    def wrong(P, dtype):
         routes.append(dtype)
-        mu = original(leq, dtype)
-        mu[rng.randrange(len(leq)), rng.randrange(len(leq))] += rng.choice([-1, 1, 3])
+        mu = original(P, dtype)
+        mu[rng.randrange(P.m), rng.randrange(P.m)] += rng.choice([-1, 1, 3])
         return mu
 
     monkeypatch.setattr(posets, "_inverse_zeta", wrong)
@@ -209,7 +275,7 @@ def test_invert_reads_the_python_int_moebius_matrix(monkeypatch):
     rng = random.Random(32)
     original = posets._inverse_zeta
     monkeypatch.setattr(posets, "_inverse_zeta",
-                        lambda leq, dtype: original(leq, object if dtype is np.int64 else dtype))
+                        lambda P, dtype: original(P, object if dtype is np.int64 else dtype))
     for _ in range(50):
         P = random_poset(rng, rng.randrange(1, 10))
         mu = moebius(P)

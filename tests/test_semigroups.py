@@ -619,3 +619,31 @@ def test_products_and_subsemigroups_match_the_loops(zoo_members):
         assert got == subsemigroup_outcome(reference_subsemigroup, S, elements)
         kinds.add(got[0] if isinstance(got[0], type) else "closed")
     assert kinds == {"closed", ValueError, NotClosedError}
+
+
+def reference_class_members(ids):
+    """Class grouping by sort and split, as class_members grouped before group_keys."""
+    order = np.argsort(ids, kind="stable")
+    return [tuple(c.tolist()) for c in np.split(order, np.cumsum(np.bincount(ids))[:-1])]
+
+
+def reference_group_by(keys):
+    """{key: ascending positions holding it}, as the category's CO2 sweep grouped its pairs."""
+    order = np.argsort(keys, kind="stable")
+    values, starts = np.unique(keys[order], return_index=True)
+    return dict(zip(values.tolist(), np.split(order, starts[1:])))
+
+
+def test_group_keys_groups_as_the_sort_and_split_it_replaced():
+    rng = np.random.default_rng(12)
+    for trial in range(300):
+        size = int(rng.integers(1, 10))
+        keys = rng.integers(0, size, size=int(rng.integers(1, 40)))
+        order, ptr = semigroups.group_keys(keys, size + trial % 3)
+        assert len(ptr) == size + trial % 3 + 1
+        groups = [order[lo:hi].tolist() for lo, hi in zip(ptr[:-1], ptr[1:])]
+        assert {k: g.tolist() for k, g in reference_group_by(keys).items()} == {
+            k: g for k, g in enumerate(groups) if g}
+        ids = semigroups.class_ids(keys[:, None])
+        assert semigroups.class_members(ids) == reference_class_members(ids)
+        assert semigroups.class_members(keys) == reference_class_members(keys)
