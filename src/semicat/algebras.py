@@ -182,14 +182,15 @@ def _hom_sweep(t, cod, dom, down):
 
     Both lists come out in lexicographic order.
     """
-    case1, case2 = [], []
-    for a, b in _hom_failures(t, cod, dom, down, range(len(t))):
-        (case1 if cod[a] == dom[b] else case2).append((a, b))
-    return case1, case2
+    rows = list(_hom_failures(t, cod, dom, down, range(len(t))))
+    a = np.repeat(np.array([a for a, _ in rows], dtype=np.int64), [bs.size for _, bs in rows])
+    b = np.concatenate([np.empty(0, dtype=np.int64), *(bs for _, bs in rows)])
+    composable = cod[a] == dom[b]
+    return tuple(list(zip(a[m].tolist(), b[m].tolist())) for m in (composable, ~composable))
 
 
 def _hom_failures(t, cod, dom, down, rows):
-    """The pairs (a, b) with phi(a)phi(b) != phi(ab) for a in rows, lazily, row by row.
+    """(a, bs) for each failing a in rows, lazily: bs is the array of b with phi(a)phi(b) != phi(ab).
 
     phi has 0/1 coefficients, so phi(a)phi(b) = phi(ab) holds exactly when the
     multiset {xy : x <= a, y <= b, cod x = dom y} equals the set {c <= ab}.
@@ -218,8 +219,7 @@ def _hom_failures(t, cod, dom, down, rows):
         bad = np.bincount(got // n, minlength=n) != wanted
         got, want = got[~bad[got // n]], want[~bad[want // n]]
         bad[got[got != want] // n] = True
-        for b in np.flatnonzero(bad).tolist():
-            yield a, b
+        yield a, np.flatnonzero(bad)
 
 
 def _multiplicative_on_generators(ES, down):

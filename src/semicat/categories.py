@@ -23,8 +23,8 @@ from .errors import (
 from .linalg import exact_matmul
 from .posets import down_sets, poset_violation
 from .reports import VerificationReport, first_witness
-from .semigroups import (associativity_failure, associativity_witness, check_indices, class_ids,
-                         freeze_fields, group_keys, kept, read_only, validate)
+from .semigroups import (associativity_failure, associativity_witness, check_indices,
+                         freeze_fields, group_keys, kept, pair_ids, read_only, validate)
 
 
 class EhresmannCategory:
@@ -191,12 +191,12 @@ def _co2_witness(t, dom, cod, leq):
     """CO2: x <= y, u <= v, cod x = dom u, cod y = dom v imply xu <= yv.
 
     The pairs (u, v) are grouped by (dom u, dom v) and the pairs (x, y) by
-    (cod x, cod y) under one class_ids numbering.  A pair (x, y) meets one key
+    (cod x, cod y) under one pair_ids numbering.  A pair (x, y) meets one key
     only, so sweeping each key's (x, y) against its (u, v), in any key order,
     and keeping the least (x, y), then the least (u, v), gives the loop's witness.
     """
     xs, ys = np.nonzero(leq)
-    keys = class_ids(np.stack([np.r_[dom[xs], cod[xs]], np.r_[dom[ys], cod[ys]]], axis=1))
+    keys = pair_ids(np.r_[dom[xs], cod[xs]], np.r_[dom[ys], cod[ys]])
     (uv_order, uv_ptr), (xy_order, xy_ptr) = (group_keys(h, len(keys)) for h in np.split(keys, 2))
     best = None
     for k in np.flatnonzero((np.diff(uv_ptr) > 0) & (np.diff(xy_ptr) > 0)).tolist():

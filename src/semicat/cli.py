@@ -18,7 +18,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import __version__, algebras, categories, ehresmann, reptheory, semigroups, zoo
 from .errors import NotSubsemilatticeError, SemicatError
-from .reports import jsonable, record_json
+from .reports import record_json
 
 SCHEMA_VERSION = 1
 
@@ -62,22 +62,16 @@ def _load(args):
         return None, err
 
 
-def _emit(args, payload, passed):
-    body = {
+def _emit(args, result, passed):
+    """Write the report when --report is given; result() returns its JSON-ready payload."""
+    if not args.report:
+        return
+    _write(args.report, {
         "schema_version": SCHEMA_VERSION,
-        "config": {
-            "command": args.command,
-            "input": args.input,
-            "zoo": args.zoo,
-            "order": args.order,
-            "workers": args.workers,
-        },
+        "config": {k: getattr(args, k) for k in ("command", "input", "zoo", "order", "workers")},
         "passed": passed,
-        "result": jsonable(payload),
-    }
-    if args.report:
-        _write(args.report, body)
-    return body
+        "result": result(),
+    })
 
 
 def _write(path, obj):
@@ -94,8 +88,10 @@ def _run(args):
 
     An input that is not Ehresmann is reported as a verified failure (exit 1).
     """
-    for path in filter(None, (args.report, args.emit_category)):
-        if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+    for path in (args.report, args.emit_category):
+        if path == "":
+            raise InputError("cannot write '': the path is empty")
+        if path and (os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or ".")):
             raise InputError(f"cannot write {path}: a directory, or its directory is missing")
     # the report is written last and would overwrite the category dump
     if args.report and args.emit_category and \
@@ -104,7 +100,7 @@ def _run(args):
     ES, failure = _load(args)
     if ES is None:
         _status(False, "ehresmann-structure", str(failure))
-        _emit(args, {"derive_error": str(failure)}, False)
+        _emit(args, lambda: {"derive_error": str(failure)}, False)
         return 1
     if args.emit_category:
         _write(args.emit_category, categories.category_to_json(categories.build_category(ES)))
@@ -148,7 +144,8 @@ def cmd_check(args, ES):
     for c in axioms.failures():
         print(f"      {c.name} failed at {c.witness}")
 
-    payload = {
+    passed = variety.passed and consistent and axioms.passed
+    _emit(args, lambda: {
         "size": ES.n,
         "e_size": len(ES.E),
         "variety": variety.to_json(),
@@ -159,9 +156,7 @@ def cmd_check(args, ES):
         "classification": _classification(left, right),
         "order_containment": record_json(containment),
         "axioms": axioms.to_json(),
-    }
-    passed = variety.passed and consistent and axioms.passed
-    _emit(args, payload, passed)
+    }, passed)
     return 0 if passed else 1
 
 
@@ -185,7 +180,7 @@ def cmd_iso(args, ES):
         print(f"      phi(b)        = {fmt(w['phi_b'])}")
         print(f"      phi(a*b)      = {fmt(w['phi_ab'])}")
         print(f"      phi(a)*phi(b) = {fmt(w['phi_a_phi_b'])}")
-    _emit(args, report.to_json(), report.passed)
+    _emit(args, report.to_json, report.passed)
     return 0 if report.passed else 1
 
 
@@ -193,28 +188,17 @@ def cmd_rep(args, ES):
     ei = reptheory.ei_report(ES)
     # computes Reg_E and the radical of QS once for the whole report
     semi = reptheory.semisimple_image_check(ES, order=args.order)
-    payload = {
-        "reg_e_size": semi.reg_size,
-        "is_EI": ei.is_ei,
-        "radical_dim": semi.radical_dim_s,
-        "ei": ei.to_json(),
-    }
-    passed = True
     _status(True, "reg_e", f"size {semi.reg_size}, inverse subsemigroup verified")
     _status(True, "is_EI", str(ei.is_ei))
     print(f"INFO  radical_dim(QS) = {semi.radical_dim_s}")
 
-    if ei.is_ei:
-        rad = reptheory.radical_span(ES)
-        payload["radical_span"] = rad.to_json()
-        payload["radical_dim_category"] = rad.oracle_dim
-        passed = passed and rad.passed
+    rad = reptheory.radical_span(ES) if ei.is_ei else None
+    passed = rad is None or rad.passed
+    if rad is not None:
         _status(rad.passed, "radical-span",
                 f"{rad.claimed_dim} non-invertible vs oracle {rad.oracle_dim}, "
                 f"nilpotency index {rad.nilpotency_index}")
 
-    payload["semisimple"] = semi.to_json()
-    payload["semisimple_check"] = semi.semisimple_check
     if semi.outside_theorem:
         print("INFO  semisimple-image: preconditions not met "
               f"(restriction: {_classification(semi.left_restriction, semi.right_restriction)}, "
@@ -226,7 +210,17 @@ def cmd_rep(args, ES):
                 f"dim Rad(QS) = {semi.radical_dim_s} = |S| - |Reg_E|"
                 if semi.dims_match else "dimension mismatch")
 
-    _emit(args, payload, passed)
+    _emit(args, lambda: {
+        "reg_e_size": semi.reg_size,
+        "is_EI": ei.is_ei,
+        "radical_dim": semi.radical_dim_s,
+        "ei": ei.to_json(),
+        "semisimple": semi.to_json(),
+        "semisimple_check": semi.semisimple_check,
+    } | ({} if rad is None else {
+        "radical_span": rad.to_json(),
+        "radical_dim_category": rad.oracle_dim,
+    }), passed)
     return 0 if passed else 1
 
 

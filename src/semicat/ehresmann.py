@@ -24,6 +24,7 @@ from .semigroups import (
     class_members,
     freeze_fields,
     idempotents,
+    pair_ids,
     read_only,
     subsemilattice_violation,
 )
@@ -63,7 +64,7 @@ def tilde_relations(S, E) -> TildeClasses:
     a = np.arange(S.n)[:, None]
     r = class_ids(np.packbits(S.table[E, :].T == a, axis=1))  # rows: the e in E with ea = a
     l = class_ids(np.packbits(S.table[:, E] == a, axis=1))    # rows: the e in E with ae = a
-    return TildeClasses(r, l, class_ids(np.stack([r, l], axis=1)))
+    return TildeClasses(r, l, pair_ids(r, l))
 
 
 def derive_structure(S, E) -> EhresmannStructure:

@@ -231,11 +231,15 @@ class GreenData:
 
 
 def class_ids(keys):
-    """One id per row of a 2-D array: equal rows share an id, numbered by first occurrence."""
-    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-    rank = np.empty(len(first), dtype=np.int64)
-    rank[np.argsort(first)] = np.arange(len(first))
-    return rank[inverse.reshape(-1)]
+    """One id per key or 2-D row: equal keys share an id, numbered by first occurrence."""
+    _, first, inverse = np.unique(keys, axis=0 if keys.ndim > 1 else None, return_index=True,
+                                  return_inverse=True)
+    return np.argsort(first).argsort()[inverse.reshape(-1)]  # the rank of each first occurrence
+
+
+def pair_ids(a, b):
+    """class_ids of the pairs (a[i], b[i]) of non-negative integers, each packed into one key."""
+    return class_ids(a * (b.max() + 1) + b)
 
 
 def group_keys(keys, size=0):
@@ -283,7 +287,7 @@ def _green(S) -> GreenData:
         member[rows, products] = True
         ideals.append(class_ids(np.packbits(member, axis=1)))
     r, l = ideals
-    h = class_ids(np.stack([r, l], axis=1))
+    h = pair_ids(r, l)
     # an R-class meets exactly the L-classes of its D-class (D = R o L), so the
     # R-classes of one D-class are the equal rows of the R x L incidence matrix
     incidence = np.zeros((r.max() + 1, l.max() + 1), dtype=bool)

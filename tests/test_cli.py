@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from semicat import (
-    algebras, categories, cli, ehresmann, posets, reptheory, semigroups, to_interchange)
+    algebras, categories, cli, ehresmann, posets, reports, reptheory, semigroups, to_interchange)
 from semicat import zoo
 from semicat.cli import main
 from semicat.reports import jsonable
@@ -81,6 +81,20 @@ def test_unwritable_output_path_fails_before_the_input_is_loaded(
     code, out, err = run(capsys, "rep", "--zoo", "pt:4", flag, str(path))
     assert (code, out) == (2, "")
     assert f"cannot write {path}: " in err
+    assert loaded == []
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag", ["--report", "--emit-category"])
+def test_empty_output_path_is_an_input_error_before_the_input_is_loaded(
+        tmp_path, capsys, monkeypatch, flag):
+    # an empty path names no file: writing nothing and exiting 0 would hide that
+    loaded = []
+    monkeypatch.setattr(zoo, "parse_zoo_spec", loaded.append)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "check", "--zoo", "six", flag, "")
+    assert (code, out) == (2, "")
+    assert "cannot write '': " in err
     assert loaded == []
     assert list(tmp_path.iterdir()) == []
 
@@ -291,6 +305,9 @@ GOLDEN_REPORTS = {
     # not EI: an EI witness, and semisimple_check null outside the theorem
     ("rep", "b:2"): (0, "b37f5113ca4e626b86dc248bec05233924df08fe29dfc86f4fdf2f5f0be93f9a"),
     ("rep", "t:3"): (0, "b1d01fbd6dfbfd25add5b65743b5b770d5d3d467db8c4158c4258ce5d8a169a0"),
+    # recorded at commit cd2af14, not from the original implementation: 0 + 65,016
+    # failing pairs, a long certificate rendered in one pass
+    ("iso", "b:3"): (1, "fcf099fea08fd8441a46e418c6cb5d792d64dbd4d12654775dcc43515e31cb67"),
 }
 
 
@@ -499,6 +516,27 @@ def test_rep_reports_the_smallest_non_ei_inputs(tmp_path, capsys, spec):
     result = json.loads(report.read_text())["result"]
     assert result["is_EI"] is False and result["semisimple_check"] is None
     assert result["ei"]["witness"] == {"object": 1, "endomorphism": 0}
+
+
+def test_report_values_become_json_once_and_only_when_written(monkeypatch, capsys, tmp_path):
+    # records convert their fields through record_json; the CLI converts nothing
+    seen = []
+    jsonable, record_json = reports.jsonable, reports.record_json
+    monkeypatch.setattr(reports, "jsonable", lambda value: seen.append(value) or jsonable(value))
+    for module in (reports, algebras, cli, reptheory):
+        monkeypatch.setattr(module, "record_json",
+                            lambda r, **keys: seen.append(r) or record_json(r, **keys))
+    code, _, _ = run(capsys, "iso", "--zoo", "b:2")
+    assert code == 1
+    assert seen == []
+    path = tmp_path / "iso.json"
+    code, _, _ = run(capsys, "iso", "--zoo", "b:2", "--report", str(path))
+    assert code == 1
+    failures = json.loads(path.read_text())["result"]["hom_case2_failures"]
+    assert len(failures) > 1
+    walks = [v for v in seen if isinstance(v, list) and len(v) == len(failures)
+             and json.loads(json.dumps(v)) == failures]
+    assert len(walks) == 1
 
 
 def test_reports_hold_numpy_scalars_as_python_values():
