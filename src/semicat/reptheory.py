@@ -6,7 +6,7 @@ the trace of left multiplication vanishes on x*A and on x itself.  The extra
 single-trace condition makes the criterion valid without a unit (it is
 redundant whenever A is unital).  Everything is exact: the trace form has
 integer entries and linalg certifies every modular answer or falls back to
-rational elimination; there are no tolerances anywhere.
+fraction-free elimination; there are no tolerances anywhere.
 """
 
 from collections import namedtuple
@@ -18,7 +18,7 @@ from .ehresmann import left_restriction_failure, right_restriction_failure, tild
 from .linalg import exact_matmul, rank
 from .posets import order_data, order_poset
 from .reports import first_witness, record_json
-from .semigroups import green, kept
+from .semigroups import class_ids, class_members, green, kept
 
 
 def invertible_morphisms(ES) -> tuple:
@@ -155,8 +155,8 @@ def _ei_report(ES):
     # objects e, f are isomorphic iff an invertible a has a+ = e and a* = f;
     # for idempotents that is e D f: e R a L f for some a, and then a is
     # invertible with a+ = e and a* = f
-    d = g.d_class[E]
-    iso_classes = tuple(tuple(E[d == c].tolist()) for c in dict.fromkeys(d.tolist()))
+    iso_classes = tuple(tuple(E[list(members)].tolist())
+                        for members in class_members(class_ids(g.d_class[E])))
 
     loops_at = np.bincount(p[loop], minlength=n)
     return EIReport(

@@ -1,4 +1,4 @@
-"""The certified modular route of linalg against Fraction elimination."""
+"""linalg's certified modular route and its fraction-free fallback against Fraction elimination."""
 
 import math
 import random
@@ -11,7 +11,55 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semicat import linalg, reptheory, zoo
-from semicat.linalg import PRIME, nullspace, rank, rational_nullspace, row_echelon
+from semicat.linalg import PRIME, nullspace, rank
+
+
+def row_echelon(rows):
+    """Reduce in place to row echelon form; returns the pivot column list."""
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = None
+        for i in range(r, len(rows)):
+            if rows[i][c] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        pv = rows[r][c]
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return pivots
+
+
+def rational_nullspace(matrix):
+    """Kernel basis by Fraction elimination: the reference route."""
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    pivots = row_echelon(rows)
+    pivot_set = set(pivots)
+    free = [c for c in range(ncols) if c not in pivot_set]
+    basis = []
+    for fc in free:
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -rows[r][fc]
+        basis.append(tuple(vec))
+    return basis
 
 
 def rational_rank(matrix) -> int:
@@ -21,19 +69,19 @@ def rational_rank(matrix) -> int:
 
 @pytest.fixture
 def fallbacks(monkeypatch):
-    """Records each fallback of nullspace and rank to Fraction elimination.
+    """Records each fallback of nullspace and rank to fraction-free elimination.
 
-    The tests call the reference route through its own imported name, which
-    the spy does not see.
+    The tests call the fallback through its own imported name, which the spy
+    does not see.
     """
     calls = []
-    original = linalg.rational_nullspace
+    original = linalg._exact_kernel
 
-    def spy(matrix):
-        calls.append("rational_nullspace")
-        return original(matrix)
+    def spy(a):
+        calls.append("_exact_kernel")
+        return original(a)
 
-    monkeypatch.setattr(linalg, "rational_nullspace", spy)
+    monkeypatch.setattr(linalg, "_exact_kernel", spy)
     return calls
 
 
@@ -86,6 +134,22 @@ def test_array_rows_match_list_rows_and_fraction_elimination(a):
     basis = nullspace(list(a))
     assert basis == nullspace(rows) == rational_nullspace(rows)
     assert all(type(x) is Fraction for v in basis for x in v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_arrays())
+@example(np.array([[1, -10**6]]))
+@example(np.array([[PRIME, 0], [0, 1]]))
+@example(np.array([[10**20, 3, -7], [2, 10**20 + 1, 5]], dtype=object))
+@example(np.zeros((0, 3), dtype=np.int64))
+@example(np.zeros((3, 0), dtype=np.int64))
+def test_fraction_free_kernel_matches_fraction_elimination(a):
+    dens, w = linalg._exact_kernel(a)
+    assert all(type(x) is int for row in w.tolist() for x in row)
+    assert w.shape == (len(dens), a.shape[1])
+    divided = [tuple(Fraction(x, den) for x in row) for den, row in zip(dens, w.tolist())]
+    # with no rows the reference cannot see the width; one zero row has the same kernel
+    assert divided == rational_nullspace(a.tolist() or [[0] * a.shape[1]])
 
 
 def test_rational_kernel_is_reconstructed_without_fraction_elimination(fallbacks):
@@ -143,18 +207,18 @@ def test_vectors_are_the_canonical_echelon_basis(fallbacks):
 
 def test_entries_that_are_multiples_of_p_fall_back(fallbacks):
     # mod p the first column vanishes, so e0 looks like a kernel vector; the
-    # exact check refutes it and Fraction elimination answers
+    # exact check refutes it and fraction-free elimination answers
     matrix = [[PRIME, 0], [0, 1]]
     assert nullspace(matrix) == rational_nullspace(matrix) == []
     assert rank(matrix) == 2
-    assert fallbacks == ["rational_nullspace", "rational_nullspace"]
+    assert fallbacks == ["_exact_kernel", "_exact_kernel"]
 
 
 def test_unreconstructable_kernel_falls_back(fallbacks):
     # the kernel is spanned by (10**6, 1): too large for reconstruction mod p
     matrix = [[1, -10**6]]
     assert nullspace(matrix) == rational_nullspace(matrix) == [(Fraction(10**6), Fraction(1))]
-    assert fallbacks == ["rational_nullspace"]
+    assert fallbacks == ["_exact_kernel"]
 
 
 def test_entries_beyond_int64_are_checked_in_python_ints(fallbacks):

@@ -106,6 +106,9 @@ def test_each_path_executes_only_the_modules_it_runs(tmp_path, pt2):
     for source in (["--zoo", "pt:2"], ["--input", "draw.json"]):
         for command in ("check", "iso", "rep"):
             executed(main.format([command, *source], 0) + untouched, tmp_path)
+    # t:4 is outside the theorem and its trace form's kernel is rational: the
+    # kernel is reconstructed and cleared to integers without a Fraction
+    executed(main.format(["rep", "--zoo", "t:4"], 0) + untouched, tmp_path)
 
 
 # class name -> how to build one instance from a fresh pt:2, and whether it compares by value
