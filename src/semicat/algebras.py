@@ -11,8 +11,8 @@ The two linear maps realized here, on basis elements and extended linearly:
 
 with <= one of the two natural orders (the right order by default) and mu its
 Moebius function.  As matrices, phi is the order's zeta matrix Z (Z[b, a] is
-b <= a) and psi its integer Moebius matrix (posets.order_data); both maps, and
-the hom sweep, read the down-sets of the order's index (FinitePoset.down).  phi
+b <= a) and psi its integer Moebius matrix M; both are kept on the order's poset
+(P.zeta and P.mu), and both maps, and the hom sweep, read its down-sets (P.down).  phi
 and psi are mutually inverse bijections for every Ehresmann structure; phi is
 multiplicative whenever the left-restriction identity holds (dually for the
 left order), and verify_isomorphism separates the composable-pair half of the
@@ -24,7 +24,7 @@ from collections import namedtuple
 import numpy as np
 
 from .errors import BasisMismatchError
-from .posets import order_data, order_poset
+from .posets import order_poset
 from .reports import record_json
 from .semigroups import (associativity_failure, check_indices, concat_ranges, generators,
                          group_keys, read_only)
@@ -143,7 +143,8 @@ def phi(ES, u, order="r") -> AlgebraElement:
 
 def psi(ES, u, order="r") -> AlgebraElement:
     """Moebius-weighted down-set sum into the semigroup algebra."""
-    return _down_sum(u, CATEGORY, SEMIGROUP, order_poset(ES, order), order_data(ES, order))
+    P = order_poset(ES, order)
+    return _down_sum(u, CATEGORY, SEMIGROUP, P, P.mu)
 
 
 def unit(ES) -> AlgebraElement:
@@ -249,7 +250,7 @@ def _multiplicative_on_generators(ES, down):
 def verify_isomorphism(ES, order="r") -> IsoReport:
     """Check that phi and psi are mutually inverse and that phi is multiplicative.
 
-    Bijectivity is the identity Z M = I that order_data certifies (raising
+    Bijectivity is the identity Z M = I that P.mu certifies (raising
     otherwise), so a returned report has bijection True and no
     bijection_witness.  Multiplicativity on every basis pair suffices by
     bilinearity.  It is proved from the pairs (a, g) with g in a generating
@@ -260,12 +261,12 @@ def verify_isomorphism(ES, order="r") -> IsoReport:
     certificate.
     """
     n, table, cod, dom = ES.n, ES.S.table, ES.star, ES.plus
-    order_data(ES, order)  # the certified inverse of phi
-    down = order_poset(ES, order).down
-    if _multiplicative_on_generators(ES, down):
+    P = order_poset(ES, order)
+    P.mu  # the certified inverse of phi; moebius raises unless Z M = I
+    if _multiplicative_on_generators(ES, P.down):
         case1, case2 = [], []
     else:
-        case1, case2 = _hom_sweep(table, cod, dom, down)
+        case1, case2 = _hom_sweep(table, cod, dom, P.down)
 
     expansion = None
     heads = case1[:1] + case2[:1]  # each list is in lexicographic order

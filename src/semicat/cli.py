@@ -38,7 +38,8 @@ def _load(args):
             obj = json.load(fh)
     except OSError as err:
         raise InputError(f"cannot read {args.input}: {err}") from err
-    except json.JSONDecodeError as err:
+    except (ValueError, RecursionError) as err:
+        # a JSONDecodeError, a UnicodeDecodeError, an over-long int literal; too deep a nesting
         raise InputError(f"{args.input} is not valid JSON: {err}") from err
     try:
         S, E = semigroups.from_interchange(obj)

@@ -24,6 +24,7 @@ from .semigroups import (
     class_members,
     freeze_fields,
     idempotents,
+    kept,
     pair_ids,
     read_only,
     subsemilattice_violation,
@@ -33,10 +34,10 @@ from .semigroups import (
 class EhresmannStructure:
     __setattr__ = __delattr__ = read_only
 
-    def __init__(self, S, E, plus, star, leq_r, leq_l, tilde=None):
+    def __init__(self, S, E, plus, star, leq_r, leq_l):
         # E: sorted indices of the distinguished semilattice; plus: a -> a+; star: a -> a*;
-        # leq_r[a, b] iff a <=_r b; tilde: the TildeClasses derive_structure computed, or None
-        vars(self).update(S=S, E=E, plus=plus, star=star, leq_r=leq_r, leq_l=leq_l, tilde=tilde)
+        # leq_r[a, b] iff a <=_r b
+        vars(self).update(S=S, E=E, plus=plus, star=star, leq_r=leq_r, leq_l=leq_l)
         freeze_fields(self, plus=np.int64, star=np.int64, leq_r=bool, leq_l=bool)
 
     @property
@@ -92,7 +93,9 @@ def derive_structure(S, E) -> EhresmannStructure:
 
     column = np.arange(S.n)[:, None]
     # a <=_r b iff a = a+ b, and a <=_l b iff a = b a*
-    return EhresmannStructure(S, E, p, s, t[p, :] == column, t[:, s].T == column, tilde)
+    ES = EhresmannStructure(S, E, p, s, t[p, :] == column, t[:, s].T == column)
+    kept(ES, "_tilde", lambda ES: tilde)  # read by the EI report
+    return ES
 
 
 def _representatives(side, index, E):

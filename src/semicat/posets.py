@@ -57,6 +57,12 @@ class FinitePoset:
         """The down-set index of the order (down_sets), built once per poset."""
         return kept(self, "_down", lambda P: down_sets(P.zeta))
 
+    @property
+    def mu(self):
+        """The Moebius matrix of the order (moebius), computed once per poset."""
+        # the lambda looks moebius up when it runs, so a rebinding of posets.moebius sees it
+        return kept(self, "_mu", lambda P: moebius(P))
+
     def below(self, y):
         check_indices(self.m, (y,))
         ptr, down = self.down
@@ -110,28 +116,18 @@ def sum_down(P, f):
 def invert(P, g, mu=None):
     """Moebius inversion: f(x) = sum of mu(y, x) g(y) over y <= x, as the exact product g M.
 
-    `mu` is the matrix moebius(P) returns, computed when not given.
+    `mu` is the matrix moebius(P) returns, P.mu when not given.
     """
     from fractions import Fraction
 
-    mu = moebius(P) if mu is None else mu
+    mu = P.mu if mu is None else mu
     return (np.array([Fraction(v) for v in g], dtype=object) @ mu).tolist()
 
 
 def order_poset(structure, order="r") -> FinitePoset:
-    """The natural order of a structure or category as a poset, and its down-sets, kept per order."""
+    """The natural order of a structure or category as a poset (P.down, P.mu), kept per order."""
     if order not in ("r", "l"):
         raise ValueError("order must be 'r' or 'l'")
     leq = structure.leq_r if order == "r" else structure.leq_l
     return kept(structure, f"_poset_{order}", lambda s: FinitePoset(len(leq), leq))
 
-
-def order_data(structure, order="r") -> np.ndarray:
-    """Integer Moebius matrix of one natural order, once per structure: mu[y, x] = mu(y, x).
-
-    Its column x holds the coefficients of psi(x), as the column x of the
-    order matrix holds those of phi(x).  The result is kept in the structure's
-    instance dictionary, so later calls for the same structure and order read
-    the same read-only matrix.
-    """
-    return kept(structure, f"_moebius_{order}", lambda s: moebius(order_poset(s, order)))

@@ -24,7 +24,7 @@ def first_witness(mask, names, **values):
 
 
 def jsonable(value):
-    """Recursively convert Fractions, tuples, sets and numpy scalars into JSON values.
+    """Recursively convert Fractions, tuples and numpy scalars into JSON values.
 
     numpy integers and bools become Python ints and bools; any other type
     raises TypeError, so nothing reaches a report through an unplanned str().
@@ -33,8 +33,6 @@ def jsonable(value):
         return {str(k): jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [jsonable(v) for v in value]
-    if isinstance(value, (set, frozenset)):
-        return sorted(jsonable(v) for v in value)
     if isinstance(value, bool) or value is None:
         return value
     if isinstance(value, (int, float, str)):

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import InconsistentComputationError, NotClosedError, NotEIError
 from .ehresmann import left_restriction_failure, right_restriction_failure, tilde_relations
 from .linalg import exact_matmul, rank
-from .posets import order_data, order_poset
+from .posets import order_poset
 from .reports import first_witness, record_json
 from .semigroups import class_ids, class_members, green, kept
 
@@ -126,7 +126,7 @@ def ei_report(ES) -> EIReport:
 
 def _ei_report(ES):
     g = green(ES.S)
-    tilde = tilde_relations(ES.S, ES.E) if ES.tilde is None else ES.tilde
+    tilde = kept(ES, "_tilde", lambda ES: tilde_relations(ES.S, ES.E))
     n, t, p, s = ES.n, ES.S.table, ES.plus, ES.star
     E = np.array(ES.E, dtype=np.int64)
     e = E[:, None]
@@ -173,8 +173,8 @@ def _ei_report(ES):
 def radical_oracle(table, defined):
     """Radical of the algebra with basis b_k and b_k b_l = b_table[k, l] where defined[k, l].
 
-    Undefined products are 0: `defined` is all true for a semigroup algebra
-    and cod[:, None] == dom for a category algebra.  Left multiplication by b_k
+    Undefined products are 0: `defined` is True for a semigroup algebra and
+    cod[:, None] == dom for a category algebra.  Left multiplication by b_k
     fixes the b_l with defined[k, l] and table[k, l] = l, so its trace is
     fix[k], the number of those l, and the Gram matrix of the trace form of
     the regular representation, T[i, j] = trace(L(b_i b_j)), is fix[table]
@@ -298,7 +298,7 @@ def semisimple_image_check(ES, order="r") -> SemisimpleReport:
     (i) and (ii) are certified without eliminating QS's n x n trace form when
     psi maps the non-invertible morphisms, which span Rad(QC) in an EI
     category, into Rad(QS): their images are columns of the certified Moebius
-    matrix (posets.moebius), independent as its principal blocks are
+    matrix (P.mu), independent as its principal blocks are
     unitriangular, and solve the radical's equations, so
     dim Rad(QS) >= n - |Reg_E|; a nonsingular Reg_E x Reg_E block of the form
     gives dim Rad(QS) <= n - |Reg_E| and (ii).  If either bound fails, as it
@@ -326,8 +326,8 @@ def semisimple_image_check(ES, order="r") -> SemisimpleReport:
     rest = np.delete(np.arange(n), reg)
     # column x of the Moebius matrix holds the coefficients of psi(x)
     iso_order = "r" if left else "l" if right else order
-    mu = order_data(ES, iso_order)
-    form = _trace_form(ES.S.table, np.ones((n, n), dtype=bool))  # QS's radical equations
+    mu = order_poset(ES, iso_order).mu  # made before the form, so their peaks do not add
+    form = _trace_form(ES.S.table, True)  # QS's radical equations: every product is defined
     if (not exact_matmul(form, mu[:, rest]).any()
             and rank(list(form[np.ix_(reg, reg)])) == len(reg)):
         rad_dim, projection_full_rank = n - len(reg), True

@@ -28,9 +28,6 @@ from .semigroups import (
     validate,
 )
 
-PT_MAX = 5
-B_MAX = 3  # a dense table for all binary relations on 4 points would need 2^32 entries
-T_MAX = 5
 CHAIN_MAX = 64  # strong_semilattice checks chain compatibility in O(K^3) Python steps
 
 
@@ -38,8 +35,18 @@ def _pt_name(vec, n):
     return "(" + ",".join("-" if v == n else str(v + 1) for v in vec) + ")"
 
 
+def _refuse_oversized(n, base, exponent):
+    """Refuse n < 1 points or base ** exponent > ELEMENTS_MAX elements (exponent capped at 64)."""
+    if n < 1:
+        raise ValueError(f"{n} points: need n >= 1, and at most {ELEMENTS_MAX} elements")
+    if base ** min(exponent, 64) > ELEMENTS_MAX:
+        raise ValueError(f"{base}^{exponent} candidate elements on {n} points, "
+                         f"above the limit {ELEMENTS_MAX}")
+
+
 def _all_vectors(n, k):
-    """Every vector in range(k)^n, one per row, in lexicographic order."""
+    """Every vector in range(k)^n, one per row, in lexicographic order; at most ELEMENTS_MAX."""
+    _refuse_oversized(n, k, n)
     return np.arange(k ** n)[:, None] // k ** np.arange(n - 1, -1, -1) % k
 
 
@@ -80,16 +87,12 @@ def _maps_semigroup(vectors, n):
 
 def pt_n(n) -> EhresmannStructure:
     """All partial functions on n points; E is the partial identities."""
-    if not 1 <= n <= PT_MAX:
-        raise ValueError(f"pt_n supports 1 <= n <= {PT_MAX}")
     vectors = _all_vectors(n, n + 1)
     return derive_structure(_maps_semigroup(vectors, n), _partial_identities(vectors, n))
 
 
 def t_n(n) -> FiniteSemigroup:
     """All total functions on n points; a building block, no distinguished E."""
-    if not 1 <= n <= T_MAX:
-        raise ValueError(f"t_n supports 1 <= n <= {T_MAX}")
     return _maps_semigroup(_all_vectors(n, n), n)
 
 
@@ -110,8 +113,7 @@ def _relation_name(mask, n):
 
 def b_n(n) -> EhresmannStructure:
     """All binary relations on n points; E is the partial identities."""
-    if not 1 <= n <= B_MAX:
-        raise ValueError(f"b_n supports 1 <= n <= {B_MAX}")
+    _refuse_oversized(n, 2, n * n)
     size = 1 << (n * n)
     bit = np.arange(n * n).reshape(n, n)                 # bit[i, j] stands for the pair (i, j)
     rel = (np.arange(size)[:, None, None] >> bit) & 1    # rel[mask, i, j]: (i, j) in the relation
@@ -236,8 +238,7 @@ def order_preserving_pt(n, leq=None) -> EhresmannStructure:
     `derive_structure` checks that + and * are defined and satisfy the
     Ehresmann identities.  PT_n itself is never built.
     """
-    if not 1 <= n <= PT_MAX:
-        raise ValueError(f"order_preserving_pt supports 1 <= n <= {PT_MAX}")
+    vectors = _all_vectors(n, n + 1)
     if leq is None:
         leq = [[x <= y for y in range(n)] for x in range(n)]
     elif len(leq) != n or any(len(row) != n for row in leq):
@@ -245,7 +246,6 @@ def order_preserving_pt(n, leq=None) -> EhresmannStructure:
     # row and column n stand for "undefined", which constrains nothing
     images_leq = np.ones((n + 1, n + 1), dtype=bool)
     images_leq[:n, :n] = np.asarray(leq, dtype=bool)
-    vectors = _all_vectors(n, n + 1)
     keep = np.ones(len(vectors), dtype=bool)
     for x, y in np.argwhere(images_leq[:n, :n]):
         keep &= images_leq[vectors[:, x], vectors[:, y]]

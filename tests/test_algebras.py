@@ -438,3 +438,17 @@ def test_repr_is_format_element():
     el = element("semigroup", {0: -1, 2: Fraction(-3, 2), 3: 1, 5: Fraction(2, 3)})
     assert repr(el) == format_element(el) == "-S(0) - 3/2*S(2) + S(3) + 2/3*S(5)"
     assert repr(element("category", {})) == format_element(element("category", {})) == "0"
+
+
+@pytest.mark.parametrize("spec,failing", [("pt:3", 1197), ("op:4", 15808)])
+def test_failing_pairs_of_the_opposite_are_the_transposed_pairs(spec, failing):
+    # <=_l of S is <=_r of its opposite with E kept, and a pair (a, b) of S is (b, a) there
+    es = zoo.parse_zoo_spec(spec)
+    dual = derive_structure(semigroups.opposite(es.S), es.E)
+    assert np.array_equal(dual.plus, es.star) and np.array_equal(dual.leq_r, es.leq_l)
+    mine, theirs = verify_isomorphism(es, "l"), verify_isomorphism(dual, "r")
+    for pairs, dual_pairs in ((mine.case1_failures, theirs.case1_failures),
+                              (mine.case2_failures, theirs.case2_failures)):
+        assert sorted((b, a) for a, b in pairs) == dual_pairs
+    assert len(theirs.case1_failures) + len(theirs.case2_failures) == failing
+    assert mine.case1_count == theirs.case1_count

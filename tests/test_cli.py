@@ -61,6 +61,31 @@ def test_check_unreadable_and_malformed_inputs(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("kind", ["utf-16", "deep", "long-int"])
+def test_json_files_that_cannot_be_parsed_are_input_errors(tmp_path, capsys, kind):
+    # exit 1 is a verified failure; a file that does not parse is malformed input.  Python
+    # 3.10 parses the long integer, and from_interchange refuses it, also with exit 2
+    path = tmp_path / "in.json"
+    if kind == "utf-16":
+        path.write_text('{"table": [[0]], "E": [0]}', encoding="utf-16")
+    elif kind == "deep":
+        path.write_text("[" * 100_000)
+    else:
+        path.write_text('{"table": [[' + "1" * 5000 + ']], "E": [0]}')
+    code, out, err = run(capsys, "check", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("ERROR  ")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("flag", ["--report", "--emit-category"])
+def test_a_write_that_fails_after_the_path_checks_is_an_input_error(capsys, flag):
+    # /dev/full passes the checks made before loading, and every write to it fails
+    code, _, err = run(capsys, "check", "--zoo", "six", flag, "/dev/full")
+    assert code == 2
+    assert "cannot write /dev/full: [Errno 28]" in err
+
+
 @pytest.mark.parametrize("flag", ["--report", "--emit-category"])
 def test_unwritable_output_path_is_input_error(tmp_path, capsys, flag):
     path = tmp_path / "missing" / "out.json"
@@ -347,7 +372,7 @@ def test_rep_builds_each_trace_form_once(monkeypatch, capsys):
     calls = []
     original = reptheory._trace_form
     monkeypatch.setattr(reptheory, "_trace_form", lambda table, defined: calls.append(
-        "QS" if defined.all() else "QC") or original(table, defined))
+        "QS" if defined is True else "QC") or original(table, defined))
     code, _, _ = run(capsys, "rep", "--zoo", "pt:2")
     assert code == 0
     assert calls == ["QS", "QC"]  # the semisimple check, then the radical span
@@ -547,7 +572,49 @@ def test_reports_hold_numpy_scalars_as_python_values():
     assert json.dumps(got) == '{"a": 5, "b": [true, 3], "2": null, "f": ["1/2", "2"]}'
 
 
-@pytest.mark.parametrize("value", [object(), np.array([1, 2]), 1j, b"5", Decimal("0.5")])
+@pytest.mark.parametrize("value", [object(), np.array([1, 2]), 1j, b"5", Decimal("0.5"),
+                                   {1, 2}, frozenset()])
 def test_reports_refuse_values_of_unknown_type(value):
     with pytest.raises(TypeError):
         jsonable({"witness": [value]})
+
+
+@pytest.fixture(scope="module")
+def right_restriction_input(tmp_path_factory):
+    """PT_3 read backwards: right restriction, and not left restriction."""
+    es = zoo.pt_n(3)
+    dual = ehresmann.derive_structure(semigroups.opposite(es.S), es.E)
+    path = tmp_path_factory.mktemp("dual") / "pt3-opposite.json"
+    path.write_text(json.dumps(to_interchange(dual.S, dual.E)))
+    return str(path), dual
+
+
+def test_check_classifies_a_right_restriction_input(capsys, right_restriction_input):
+    path, _ = right_restriction_input
+    code, out, _ = run(capsys, "check", "--input", path)
+    assert code == 0
+    assert "INFO  classification: right restriction\n" in out
+    assert "left-restriction witness" in out and "right-restriction witness" not in out
+
+
+@pytest.mark.parametrize("order,code", [("l", 0), ("r", 1)])
+def test_iso_on_a_right_restriction_input_holds_for_the_left_order(
+        capsys, right_restriction_input, order, code):
+    path, _ = right_restriction_input
+    assert run(capsys, "iso", "--input", path, "--order", order)[0] == code
+
+
+def test_rep_on_a_right_restriction_input_reads_psi_of_the_left_order(
+        tmp_path, capsys, monkeypatch, right_restriction_input):
+    path, dual = right_restriction_input
+    zetas = []
+    original = posets.moebius
+    monkeypatch.setattr(posets, "moebius", lambda P: zetas.append(P.zeta) or original(P))
+    report = tmp_path / "rep.json"
+    code, _, _ = run(capsys, "rep", "--input", path, "--report", str(report))
+    assert code == 0
+    result = json.loads(report.read_text())["result"]
+    assert result["semisimple_check"] is True
+    assert (result["semisimple"]["left_restriction"],
+            result["semisimple"]["right_restriction"]) == (False, True)
+    assert len(zetas) == 1 and np.array_equal(zetas[0], dual.leq_l)

@@ -287,9 +287,9 @@ def test_invert_reads_the_python_int_moebius_matrix(monkeypatch):
         assert invert(P, sum_down(P, g), mu) == g
 
 
-def test_zeta_moebius_and_order_data_are_read_only(pt2):
+def test_zeta_and_moebius_matrices_are_read_only(pt2):
     P = random_poset(random.Random(33), 6)
-    for matrix in (P.zeta, moebius(P), posets.order_data(pt2, "r"), posets.order_data(pt2, "l")):
+    for matrix in (P.zeta, moebius(P), P.mu, order_poset(pt2, "r").mu, order_poset(pt2, "l").mu):
         assert not matrix.flags.writeable
         with pytest.raises(ValueError):
             matrix[0, 0] = 0
@@ -313,7 +313,8 @@ def test_order_poset_shares_the_structures_read_only_order(zoo_members):
             assert np.shares_memory(zeta, leq)
 
 
-def test_order_data_is_computed_once_per_structure_and_order(monkeypatch):
+def test_moebius_is_computed_once_per_structure_and_order(monkeypatch):
+    # P.mu is kept on the order's poset, which the structure keeps per order
     es = zoo.pt_n(2)
     calls = []
     original = posets.moebius
@@ -322,9 +323,12 @@ def test_order_data_is_computed_once_per_structure_and_order(monkeypatch):
         psi(es, basis_element("category", x))
     verify_isomorphism(es)
     semisimple_image_check(es)
-    assert len(calls) == 1
+    assert calls == [order_poset(es, "r")]
     verify_isomorphism(es, order="l")
-    assert len(calls) == 2
+    assert calls == [order_poset(es, "r"), order_poset(es, "l")]
+    P = order_poset(es, "l")
+    assert P.mu is P.mu and invert(P, [1] * es.n) == invert(P, [1] * es.n, P.mu)
+    assert len(calls) == 2  # invert read P.mu
 
 
 def test_inversion_roundtrip_on_random_rational_functions():

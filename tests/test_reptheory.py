@@ -818,3 +818,19 @@ def test_semisimple_image_check_memory_on_op4():
     assert semi.semisimple_check is True and semi.radical_dim_s == 192 - 70
     # the parent, eliminating the whole form, peaked at about 6 forms above entry
     assert peak <= 3.5 * form_bytes
+
+
+def test_a_structure_takes_no_tilde_classes_and_ei_report_derives_them(zoo_members, monkeypatch):
+    # derive_structure keeps the classes it computed; a structure built by hand has
+    # none kept, so ei_report computes them from its own table and E
+    calls = []
+    original = reptheory.tilde_relations
+    monkeypatch.setattr(reptheory, "tilde_relations", lambda S, E: calls.append(E) or original(S, E))
+    for es in zoo_members.values():
+        fields = (es.S, es.E, es.plus, es.star, es.leq_r, es.leq_l)
+        with pytest.raises(TypeError):
+            EhresmannStructure(*fields, None)
+        assert not hasattr(es, "tilde")
+        calls.clear()
+        assert ei_report(EhresmannStructure(*fields)) == ei_report(es)
+        assert calls == [es.E]

@@ -283,13 +283,32 @@ def test_zoo_spec_parser_roundtrip():
 
 
 @pytest.mark.parametrize("spec", ["z:7777", "z:100000", "ssl:chain2:z7776,z1",
-                                  "ssl:chain3:z3000,z3000,z2000", "ssl:chain2:z9000,z-5000"])
+                                  "ssl:chain3:z3000,z3000,z2000", "ssl:chain2:z9000,z-5000",
+                                  "pt:0", "pt:-3", "pt:6", "t:0", "t:6", "op:0", "op:6", "b:0",
+                                  "b:-2", "b:4", "pt:1000000000000", "b:1000000000000"])
 def test_zoo_specs_above_pt5_size_are_rejected_before_building(monkeypatch, spec):
-    # the bound is |PT_5| = 7776 elements; nothing is validated or allocated
+    # the bound is |PT_5| = 7776 elements; nothing is validated or allocated.  pt and op
+    # count (n+1)^n candidate maps, t n^n, and b 2^(n*n) relations
     monkeypatch.setattr(zoo, "validate", lambda *args: pytest.fail("built a table"))
+    monkeypatch.setattr(np, "arange", lambda *args, **kwargs: pytest.fail("allocated"))
     with pytest.raises(ValueError, match="7776"):
         zoo.parse_zoo_spec(spec)
     assert zoo.ELEMENTS_MAX == 7776
+
+
+@pytest.mark.parametrize("spec", ["pt:5", "t:5", "op:5", "b:3"])
+def test_the_largest_member_of_each_family_is_within_the_element_budget(monkeypatch, spec):
+    class Built(Exception):
+        pass
+
+    def stop(*args):
+        raise Built
+
+    # stop before the (7776, 7776) product table of pt:5 is made
+    monkeypatch.setattr(zoo, "_compose_vectors", stop)
+    monkeypatch.setattr(zoo, "validate", stop)
+    with pytest.raises(Built):
+        zoo.parse_zoo_spec(spec)
 
 
 def test_cyclic_group_table_is_addition_mod_k():
