@@ -12,22 +12,21 @@ import sys
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "algebras": "AlgebraElement basis_element element format_element mul_category "
-                "mul_semigroup phi psi unit verify_isomorphism",
-    "categories": "EhresmannCategory build_category category_to_json corestriction "
-                  "rebuild_semigroup restriction verify_axioms",
+    "algebras": "format_element phi psi verify_isomorphism",
+    "categories": "EhresmannCategory build_category category_to_json rebuild_semigroup "
+                  "verify_axioms",
     "ehresmann": "EhresmannStructure check_variety derive_structure left_restriction_failure "
                  "maximal_subsemilattices order_containment right_restriction_failure "
                  "tilde_relations",
     "errors": "",
     "linalg": "",
-    "posets": "FinitePoset invert moebius order_poset sum_down",
+    "posets": "FinitePoset moebius order_poset",
     "reports": "VerificationReport",
     "reptheory": "EIReport RegESet ei_report invertible_morphisms radical_oracle "
                  "radical_span reg_e semisimple_image_check",
     "semigroups": "FiniteSemigroup GreenData from_interchange green idempotents identity_of "
-                  "is_inverse opposite product subsemigroup subsemilattice_violation "
-                  "to_interchange validate",
+                  "opposite product subsemigroup subsemilattice_violation to_interchange "
+                  "validate",
     "zoo": "",
 }
 # public name -> the submodule that defines it

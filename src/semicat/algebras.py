@@ -1,10 +1,8 @@
-"""Semigroup and category algebras over the rationals, and the maps between them.
+"""The maps between the semigroup algebra QS and the category algebra QC.
 
-The only supported coefficient ring is the exact rationals: every verification
-here is a zero-tolerance identity check, and exact characteristic-zero
-arithmetic is also what makes the radical computations downstream valid.
-
-The two linear maps realized here, on basis elements and extended linearly:
+An element of either algebra is a plain coefficient dict {basis index:
+number}, zeros dropped.  The two linear maps realized here, on basis elements
+and extended linearly:
 
     phi(a) = sum of C(b) over b <= a
     psi(x) = sum of mu(y, x) S(y) over y <= x
@@ -17,84 +15,21 @@ and psi are mutually inverse bijections for every Ehresmann structure; phi is
 multiplicative whenever the left-restriction identity holds (dually for the
 left order), and verify_isomorphism separates the composable-pair half of the
 sweep from the rest so a failure certificate pins down exactly which half broke.
+Every coefficient of a verdict is an integer, the witness expansion's included.
 """
 
 from collections import namedtuple
 
 import numpy as np
 
-from .errors import BasisMismatchError
 from .posets import order_poset
 from .reports import record_json
 from .semigroups import (associativity_failure, check_indices, concat_ranges, generators,
-                         group_keys, read_only)
-
-SEMIGROUP = "semigroup"
-CATEGORY = "category"
-
-
-class AlgebraElement:
-    __setattr__ = __delattr__ = read_only
-
-    def __init__(self, basis, coeffs):
-        # coeffs: basis index -> nonzero Fraction
-        vars(self).update(basis=basis, coeffs=coeffs)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.basis == other.basis and self.coeffs == other.coeffs
-
-    __hash__ = None  # unhashable: coeffs is a dict
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, 0) + v
-        return element(self.basis, out)
-
-    def __sub__(self, other):
-        return self + -other
-
-    def __neg__(self):
-        return element(self.basis, {k: -v for k, v in self.coeffs.items()})
-
-    def scale(self, k):
-        from fractions import Fraction
-
-        return element(self.basis, {i: Fraction(k) * v for i, v in self.coeffs.items()})
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def _check(self, other):
-        if self.basis != other.basis:
-            raise BasisMismatchError(self.basis, other.basis)
-
-    def __repr__(self):
-        return format_element(self)
-
-
-def element(basis, coeffs) -> AlgebraElement:
-    """Canonical form: rational coefficients with zeros dropped."""
-    # fractions is imported only where a Fraction is built: a passing verdict builds none
-    from fractions import Fraction
-
-    clean = {}
-    for k, v in coeffs.items():
-        v = Fraction(v)
-        if v != 0:
-            clean[int(k)] = v
-    return AlgebraElement(basis, clean)
-
-
-def basis_element(basis, i) -> AlgebraElement:
-    return element(basis, {i: 1})
+                         group_keys)
 
 
 def _mul_partial(table, cod, dom, u, v):
-    check_indices(len(table), [*u, *v])
+    """The product of two category-algebra elements, as coefficient dicts; 0 off composable pairs."""
     acc = {}
     for i, ci in u.items():
         row = table[i]
@@ -107,49 +42,27 @@ def _mul_partial(table, cod, dom, u, v):
     return {k: c for k, c in acc.items() if c != 0}
 
 
-def mul_semigroup(ES, u, v) -> AlgebraElement:
-    """Bilinear extension of the semigroup product: S as a category with one object."""
-    if u.basis != SEMIGROUP:
-        raise BasisMismatchError(SEMIGROUP, u.basis)
-    u._check(v)
-    one_object = (0,) * ES.n
-    return element(SEMIGROUP, _mul_partial(ES.S.table, one_object, one_object, u.coeffs, v.coeffs))
-
-
-def mul_category(C, u, v) -> AlgebraElement:
-    """Bilinear extension of composition, with non-composable pairs mapped to 0."""
-    if u.basis != CATEGORY:
-        raise BasisMismatchError(CATEGORY, u.basis)
-    u._check(v)
-    return element(CATEGORY, _mul_partial(C.table, C.cod, C.dom, u.coeffs, v.coeffs))
-
-
-def _down_sum(u, source, target, P, matrix):
-    """The sum of c matrix[b, a] target(b) over the terms c source(a) of u and the b <= a in P."""
-    if u.basis != source:
-        raise BasisMismatchError(source, u.basis)
+def _down_sum(coeffs, P, matrix):
+    """The sum of c matrix[b, a] b over the terms c a of coeffs and the b <= a in P, zeros dropped."""
+    check_indices(P.m, coeffs)
+    ptr, below = P.down
     acc = {}
-    for a, ca in u.coeffs.items():
-        for b in P.below(a):
-            acc[b] = acc.get(b, 0) + ca * int(matrix[b, a])
-    return element(target, acc)
+    for a, c in coeffs.items():
+        for b in below[ptr[a]:ptr[a + 1]].tolist():
+            acc[b] = acc.get(b, 0) + c * int(matrix[b, a])
+    return {b: c for b, c in acc.items() if c != 0}
 
 
-def phi(ES, u, order="r") -> AlgebraElement:
-    """Down-set sum into the category algebra, extended linearly."""
+def phi(ES, coeffs, order="r") -> dict:
+    """phi on {index: coefficient} of the semigroup algebra: the down-set sums, by P.zeta."""
     P = order_poset(ES, order)
-    return _down_sum(u, SEMIGROUP, CATEGORY, P, P.zeta)
+    return _down_sum(coeffs, P, P.zeta)
 
 
-def psi(ES, u, order="r") -> AlgebraElement:
-    """Moebius-weighted down-set sum into the semigroup algebra."""
+def psi(ES, coeffs, order="r") -> dict:
+    """psi on {index: coefficient} of the category algebra: the Moebius-weighted sums, by P.mu."""
     P = order_poset(ES, order)
-    return _down_sum(u, CATEGORY, SEMIGROUP, P, P.mu)
-
-
-def unit(ES) -> AlgebraElement:
-    """Sum of the object identities: the two-sided unit of the category algebra."""
-    return element(CATEGORY, dict.fromkeys(ES.E, 1))
+    return _down_sum(coeffs, P, P.mu)
 
 
 class IsoReport(namedtuple("IsoReport", [
@@ -174,7 +87,11 @@ class IsoReport(namedtuple("IsoReport", [
         return self.bijection and self.homomorphism
 
     def to_json(self):
-        return record_json(self, case1_failures="hom_case1_failures",
+        w = self.witness_expansion
+        if w is not None:  # coefficients as decimal strings, the format the report digests fix
+            w = {k: {i: str(c) for i, c in v.items()} if isinstance(v, dict) else v
+                 for k, v in w.items()}
+        return record_json(self._replace(witness_expansion=w), case1_failures="hom_case1_failures",
                            case2_failures="hom_case2_failures") | {"passed": self.passed}
 
 
@@ -273,15 +190,15 @@ def verify_isomorphism(ES, order="r") -> IsoReport:
     if heads:
         a, b = min(heads)
         ab = int(table[a, b])
-        phi_a, phi_b, phi_ab = (phi(ES, basis_element(SEMIGROUP, x), order) for x in (a, b, ab))
+        phi_a, phi_b, phi_ab = (phi(ES, {x: 1}, order) for x in (a, b, ab))  # down-sets
         expansion = {
             "a": a,
             "b": b,
             "ab": ab,
-            "phi_a": phi_a.coeffs,
-            "phi_b": phi_b.coeffs,
-            "phi_ab": phi_ab.coeffs,
-            "phi_a_phi_b": _mul_partial(table, cod, dom, phi_a.coeffs, phi_b.coeffs),
+            "phi_a": phi_a,
+            "phi_b": phi_b,
+            "phi_ab": phi_ab,
+            "phi_a_phi_b": _mul_partial(table, cod, dom, phi_a, phi_b),
         }
 
     case1_count = int(np.bincount(cod, minlength=n) @ np.bincount(dom, minlength=n))
@@ -298,15 +215,14 @@ def verify_isomorphism(ES, order="r") -> IsoReport:
     )
 
 
-def format_element(el, names=None) -> str:
-    """Render a combination like 'C({(1,1)}) + C({})' using element names."""
-    if el.is_zero():
+def format_element(coeffs, symbol, names=None) -> str:
+    """Render {index: coefficient} like 'C({(1,1)}) + C({})', symbol 'S' or 'C', by element names."""
+    if not coeffs:
         return "0"
-    sym = "S" if el.basis == SEMIGROUP else "C"
     parts = []
-    for i in sorted(el.coeffs):
-        c = el.coeffs[i]
-        label = f"{sym}({names[i] if names else i})"
+    for i in sorted(coeffs):
+        c = coeffs[i]
+        label = f"{symbol}({names[i] if names else i})"
         if c == 1:
             parts.append(("+", label))
         elif c == -1:

@@ -15,11 +15,7 @@ co-restriction.  All three are table entries: e ^ f is the product e*f,
 
 import numpy as np
 
-from .errors import (
-    NotBelowDomainError,
-    NotBelowRangeError,
-    NotComposableError,
-)
+from .errors import NotComposableError
 from .linalg import exact_matmul
 from .posets import down_sets, poset_violation
 from .reports import VerificationReport, first_witness
@@ -78,22 +74,6 @@ def _category(ES):
         leq_l=ES.leq_l,
         semigroup=ES.S,
     )
-
-
-def restriction(C, e, x):
-    """(e | x): the unique y <=_r x with dom(y) = e, realized as the product e*x."""
-    check_indices(C.n, (x,), "morphism")
-    if e not in C.objects or not C.object_leq(e, C.dom[x]):
-        raise NotBelowDomainError(e, x)
-    return int(C.table[e, x])
-
-
-def corestriction(C, x, e):
-    """(x | e): the unique y <=_l x with cod(y) = e, realized as the product x*e."""
-    check_indices(C.n, (x,), "morphism")
-    if e not in C.objects or not C.object_leq(e, C.cod[x]):
-        raise NotBelowRangeError(x, e)
-    return int(C.table[x, e])
 
 
 def verify_axioms(C) -> VerificationReport:

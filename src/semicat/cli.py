@@ -174,7 +174,7 @@ def cmd_iso(args, ES):
         w = report.witness_expansion
 
         def fmt(coeffs):
-            return algebras.format_element(algebras.element("category", coeffs), names)
+            return algebras.format_element(coeffs, "C", names)
 
         print(f"      first failing pair: a={ES.S.name(w['a'])}, b={ES.S.name(w['b'])}")
         print(f"      phi(a)        = {fmt(w['phi_a'])}")

@@ -62,27 +62,6 @@ class NotComposableError(SemicatError):
         self.pair = (x, y)
 
 
-class NotBelowDomainError(SemicatError):
-    def __init__(self, e, x):
-        super().__init__(f"object {e} is not below dom({x})")
-        self.object = e
-        self.morphism = x
-
-
-class NotBelowRangeError(SemicatError):
-    def __init__(self, x, e):
-        super().__init__(f"object {e} is not below cod({x})")
-        self.object = e
-        self.morphism = x
-
-
-class BasisMismatchError(SemicatError):
-    def __init__(self, expected, got):
-        super().__init__(f"expected {expected}-basis element, got {got}")
-        self.expected = expected
-        self.got = got
-
-
 class NotEIError(SemicatError):
     def __init__(self, witness):
         super().__init__(f"category is not EI; witness endomorphism {witness}")

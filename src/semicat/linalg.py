@@ -69,7 +69,7 @@ def _integer_array(matrix):
     a = np.array(matrix, ndmin=2)
     if a.size == 0 or a.dtype.kind in "bi":  # numpy reads rows without entries as float
         return a.astype(np.int64, copy=False)
-    # a cast would truncate Fraction(1, 2) to 0, and [2**63, -1] reads as float64
+    # a cast would truncate the rational 1/2 to 0, and [2**63, -1] reads as float64
     a = np.array([[operator.index(x) for x in row] for row in matrix], dtype=object)
     return a.astype(np.int64) if abs_max(a) < 2**63 else a
 

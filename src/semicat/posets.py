@@ -1,11 +1,11 @@
-"""Finite posets, their integer Moebius matrices and exact Moebius inversion."""
+"""Finite posets, their down-set indices and their integer Moebius matrices."""
 
 import numpy as np
 
 from .errors import InconsistentComputationError, NotAPosetError
 from .linalg import exact_matmul
 from .reports import first_witness
-from .semigroups import check_indices, freeze_fields, kept, read_only
+from .semigroups import freeze_fields, kept, read_only
 
 
 def poset_violation(leq):
@@ -39,9 +39,14 @@ def down_sets(leq):
 class FinitePoset:
     __setattr__ = __delattr__ = read_only
 
-    def __init__(self, m, zeta):
+    def __init__(self, zeta):
         # zeta[x, y] is True iff x <= y; a read-only (m, m) bool array is kept as it is, not copied
-        vars(self).update(m=m, zeta=np.asarray(zeta, dtype=bool).reshape(m, m))
+        zeta = np.asarray(zeta, dtype=bool)
+        if zeta.shape == (0,):  # no rows: the empty order
+            zeta = zeta.reshape(0, 0)
+        if zeta.ndim != 2 or zeta.shape[0] != zeta.shape[1]:
+            raise ValueError(f"a zeta matrix is square, not of shape {zeta.shape}")
+        vars(self).update(m=len(zeta), zeta=zeta)
         freeze_fields(self, zeta=bool)
         bad = poset_violation(self.zeta)
         if bad is not None:
@@ -62,15 +67,6 @@ class FinitePoset:
         """The Moebius matrix of the order (moebius), computed once per poset."""
         # the lambda looks moebius up when it runs, so a rebinding of posets.moebius sees it
         return kept(self, "_mu", lambda P: moebius(P))
-
-    def below(self, y):
-        check_indices(self.m, (y,))
-        ptr, down = self.down
-        return down[ptr[y]:ptr[y + 1]].tolist()
-
-    def interval(self, x, y):
-        check_indices(self.m, (x,))
-        return [z for z in self.below(y) if self.zeta[x, z]]
 
 
 def _inverse_zeta(P, dtype):
@@ -106,28 +102,10 @@ def moebius(P) -> np.ndarray:
     raise InconsistentComputationError("Moebius matrix", {"check": "Z M = I"})
 
 
-def sum_down(P, f):
-    """g(x) = sum of f(y) over y <= x, as the exact product f Z."""
-    from fractions import Fraction  # imported only where a Fraction is built
-
-    return (np.array([Fraction(v) for v in f], dtype=object) @ P.zeta).tolist()
-
-
-def invert(P, g, mu=None):
-    """Moebius inversion: f(x) = sum of mu(y, x) g(y) over y <= x, as the exact product g M.
-
-    `mu` is the matrix moebius(P) returns, P.mu when not given.
-    """
-    from fractions import Fraction
-
-    mu = P.mu if mu is None else mu
-    return (np.array([Fraction(v) for v in g], dtype=object) @ mu).tolist()
-
-
 def order_poset(structure, order="r") -> FinitePoset:
     """The natural order of a structure or category as a poset (P.down, P.mu), kept per order."""
     if order not in ("r", "l"):
         raise ValueError("order must be 'r' or 'l'")
     leq = structure.leq_r if order == "r" else structure.leq_l
-    return kept(structure, f"_poset_{order}", lambda s: FinitePoset(len(leq), leq))
+    return kept(structure, f"_poset_{order}", lambda s: FinitePoset(leq))
 

@@ -1,6 +1,5 @@
 """Pass/fail records with counterexample certificates."""
 
-import numbers
 from collections import namedtuple
 
 import numpy as np
@@ -24,7 +23,7 @@ def first_witness(mask, names, **values):
 
 
 def jsonable(value):
-    """Recursively convert Fractions, tuples and numpy scalars into JSON values.
+    """Recursively convert tuples and numpy scalars into JSON values.
 
     numpy integers and bools become Python ints and bools; any other type
     raises TypeError, so nothing reaches a report through an unplanned str().
@@ -39,9 +38,6 @@ def jsonable(value):
         return value
     if isinstance(value, (np.bool_, np.integer)):
         return value.item()
-    # after the integers, which are Rational too; this spares `fractions` an import
-    if isinstance(value, numbers.Rational):
-        return str(value)
     raise TypeError(f"a report cannot hold a value of type {type(value).__name__}")
 
 

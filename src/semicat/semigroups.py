@@ -362,13 +362,6 @@ def identity_of(S):
     return None if found is None else found["e"]
 
 
-def is_inverse(S) -> bool:
-    """True iff every element has exactly one inverse b with aba=a and bab=b."""
-    t, a = S.table, np.arange(S.n)[:, None]
-    aba = t[t, a] == a  # aba[a, b]: (ab)a = a, so aba.T[a, b]: (ba)b = b
-    return bool(((aba & aba.T).sum(axis=1) == 1).all())
-
-
 def to_interchange(S, E=None) -> dict:
     """Shared JSON interchange object: {"n", "table", "E"?, "names"?}."""
     obj = {"n": S.n, "table": S.table.tolist()}

@@ -3,23 +3,22 @@ import random
 import numpy as np
 import pytest
 
+from reference_algebra import (
+    NotBelowDomainError,
+    NotBelowRangeError,
+    corestriction,
+    restriction,
+)
 from semicat import (
     EhresmannCategory,
     build_category,
-    corestriction,
     derive_structure,
     rebuild_semigroup,
-    restriction,
     validate,
     verify_axioms,
 )
 from semicat import zoo
-from semicat.errors import (
-    NotBelowDomainError,
-    NotBelowRangeError,
-    NotComposableError,
-    SemicatError,
-)
+from semicat.errors import NotComposableError, SemicatError
 from semicat.reports import VerificationReport
 from semicat.semigroups import FiniteSemigroup, associativity_failure
 

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_algebra import is_inverse
 from semicat import (
     from_interchange,
     green,
     idempotents,
     identity_of,
-    is_inverse,
     opposite,
     product,
     subsemigroup,

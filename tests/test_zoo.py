@@ -7,11 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from reference_algebra import is_inverse
 from semicat import (
     build_category,
     derive_structure,
     ei_report,
-    is_inverse,
     left_restriction_failure,
     right_restriction_failure,
     subsemigroup,
