@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -561,6 +562,58 @@ def test_light_test_finds_a_break_at_one_middle_factor():
         assert u in semigroups.generators(T)
         assert semigroups.associativity_failure(T) == semigroups.associativity_witness(t)
         assert (semigroups.associativity_failure(T) is None) == (c == u)
+
+
+def reference_generating_set(t):
+    """The greedy G in descending order of |aS| + |Sa|, counted on sorted rows and columns.
+
+    Each candidate is taken only if the left-normed closure of those before
+    it, recomputed from scratch, does not hold it.
+    """
+    rows, columns = np.sort(t, axis=1), np.sort(t, axis=0)
+    size = (rows[:, 1:] != rows[:, :-1]).sum(axis=1) + (columns[1:] != columns[:-1]).sum(axis=0)
+    G, reached = [], set()
+    for a in np.argsort(-size, kind="stable").tolist():
+        if len(reached) == len(t):
+            break
+        if a in reached:
+            continue
+        G.append(a)
+        reached, frontier = set(G), G
+        while frontier:
+            frontier = list(set(t[np.ix_(frontier, G)].ravel().tolist()) - reached)
+            reached.update(frontier)
+    return G
+
+
+@pytest.mark.parametrize("spec,size", [
+    ("pt:3", None), ("pt:4", 6), ("op:4", 14), ("op:5", None), ("b:3", 5), ("t:4", None),
+    ("t:5", None), ("six", None), ("ssl:chain2:z2,z3", None), ("b:2", None), ("z:5", None),
+])
+def test_generators_keep_the_sorted_count_order(spec, size):
+    # the ideal marks count |aS^1| + |S^1 a|, the sorted copies |aS| + |Sa|; on
+    # the zoo both orders give the same G, and so the sizes README quotes
+    S = zoo.parse_zoo_spec(spec).S
+    G = semigroups.generators(S).tolist()
+    assert G == reference_generating_set(S.table)
+    assert size is None or len(G) == size
+
+
+def test_light_test_holds_no_table_sized_temporary():
+    # two sorted int64 copies of the table and a whole-table block of Light's
+    # test came to about 2.3 tables; the ideal marks are n^2 bools, one at a
+    # time, and Light's test holds |G| rows per x
+    S = zoo.parse_zoo_spec("pt:4").S
+    fresh = FiniteSemigroup(S.n, S.table)  # nothing kept yet
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        semigroups.generators(fresh)
+        assert semigroups.associativity_failure(fresh) is None
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5 * S.table.nbytes
 
 
 def test_green_matches_the_union_find(zoo_members):
