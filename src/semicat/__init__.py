@@ -13,8 +13,7 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "algebras": "format_element phi psi verify_isomorphism",
-    "categories": "EhresmannCategory build_category category_to_json rebuild_semigroup "
-                  "verify_axioms",
+    "categories": "category_to_json rebuild_semigroup verify_axioms",
     "ehresmann": "EhresmannStructure check_variety derive_structure left_restriction_failure "
                  "maximal_subsemilattices order_containment right_restriction_failure "
                  "tilde_relations",

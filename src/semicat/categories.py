@@ -1,10 +1,11 @@
-"""The category associated to an Ehresmann structure, and the way back.
+"""The category of an Ehresmann structure, read off its arrays, and the way back.
 
-Objects are the elements of E and there is one morphism per semigroup
-element, on the same index space: a runs from a+ to a*, and composition is
-defined exactly when cod(x) = dom(y), with value the semigroup product.
-Both natural orders are inherited unchanged.  The reverse construction
-recovers the semigroup via the pseudo-product
+The category of ES has the objects E and one morphism per semigroup element,
+on the same index space: a runs from dom(a) = a+ to cod(a) = a*, and
+composition is defined exactly when cod(x) = dom(y), with value the semigroup
+product.  Both natural orders are inherited unchanged.  So the functions here
+take ES itself and read ES.S.table, ES.plus, ES.star, ES.E and both orders.
+The reverse construction recovers the semigroup via the pseudo-product
 
     x . y = (x | cod(x) ^ dom(y)) * (cod(x) ^ dom(y) | y)
 
@@ -15,82 +16,28 @@ co-restriction.  All three are table entries: e ^ f is the product e*f,
 
 import numpy as np
 
-from .errors import NotComposableError
 from .linalg import exact_matmul
 from .posets import down_sets, poset_violation
 from .reports import VerificationReport, first_witness
-from .semigroups import (associativity_failure, associativity_witness, check_indices,
-                         freeze_fields, group_keys, kept, pair_ids, read_only, validate)
+from .semigroups import associativity_failure, associativity_witness, group_keys, pair_ids, validate
 
 
-class EhresmannCategory:
-    __setattr__ = __delattr__ = read_only
-
-    def __init__(self, n, objects, dom, cod, table, leq_r, leq_l, semigroup=None):
-        # n morphisms; objects: sorted subset of morphism indices (the identities);
-        # table: products: compositions, (e | x) = ex, (x | e) = xe, e ^ f = ef;
-        # semigroup: the semigroup C was built from, whose certificates verify_axioms reads
-        vars(self).update(n=n, objects=objects, dom=dom, cod=cod, table=table,
-                          leq_r=leq_r, leq_l=leq_l, semigroup=semigroup)
-        freeze_fields(self, dom=np.int64, cod=np.int64, table=np.int64, leq_r=bool, leq_l=bool)
-
-    def composable(self, x, y):
-        check_indices(self.n, (x, y), "morphism")
-        return bool(self.cod[x] == self.dom[y])
-
-    def compose(self, x, y):
-        if not self.composable(x, y):
-            raise NotComposableError(x, y)
-        return int(self.table[x, y])
-
-    def object_leq(self, e, f):
-        """e <= f in the semilattice of objects; ValueError if e or f is not an object."""
-        for x in (e, f):
-            if x not in self.objects:
-                raise ValueError(f"{x} is not an object")
-        return bool(self.leq_r[e, f])
-
-    def __repr__(self):
-        return f"EhresmannCategory(morphisms={self.n}, objects={len(self.objects)})"
-
-
-def build_category(ES) -> EhresmannCategory:
-    """The category of ES, built once and kept in ES's instance dictionary.
-
-    It shares ES's arrays: dom is +, cod is *, the table and both orders,
-    and keeps ES.S as its semigroup.
-    """
-    return kept(ES, "_category", _category)
-
-
-def _category(ES):
-    return EhresmannCategory(
-        n=ES.n,
-        objects=tuple(ES.E),
-        dom=ES.plus,
-        cod=ES.star,
-        table=ES.S.table,
-        leq_r=ES.leq_r,
-        leq_l=ES.leq_l,
-        semigroup=ES.S,
-    )
-
-
-def verify_axioms(C) -> VerificationReport:
-    """Exhaustive sweep of the category-with-order and Ehresmann axioms.
+def verify_axioms(ES) -> VerificationReport:
+    """Exhaustive sweep of the category-with-order and Ehresmann axioms of ES's category.
 
     Every check is reported by name with the first witness on failure:
     poset validity of both orders, the plain category laws, CO1-CO3 for
     both orders, and EC2-EC8 (EC1 is the pair of CO blocks).  Each check is
     a boolean mask of failing instances, and its witness is the instance a
     nested loop over the same variables, in the same order, would meet first.
-    C composes by its table on a subset of all triples, so S's kept Light's
-    test proves associativity when C holds the table of its semigroup S.
+    The category composes by S's table on a subset of all triples, so S's
+    kept Light's test proves its associativity, and only a table that fails
+    it is swept over the composable triples.
     """
-    n = C.n
+    n = ES.n
     rep = VerificationReport()
-    t, dom, cod, r, l = C.table, C.dom, C.cod, C.leq_r, C.leq_l
-    objects = np.array(C.objects, dtype=np.int64)
+    t, dom, cod, r, l = ES.S.table, ES.plus, ES.star, ES.leq_r, ES.leq_l
+    objects = np.array(ES.E, dtype=np.int64)
 
     for label, leq in (("r", r), ("l", l)):
         bad = poset_violation(leq)
@@ -102,8 +49,7 @@ def verify_axioms(C) -> VerificationReport:
     rep.add("category[dom-cod-of-composition]", witness is None, witness)
     witness = _identity_witness(t, dom, cod, objects)
     rep.add("category[identities]", witness is None, witness)
-    S = C.semigroup
-    proved = S is not None and S.table is t and associativity_failure(S) is None
+    proved = associativity_failure(ES.S) is None
     witness = None if proved else associativity_witness(t, composable)
     rep.add("category[associativity]", witness is None, witness)
 
@@ -116,7 +62,7 @@ def verify_axioms(C) -> VerificationReport:
         witness = first_witness(leq & same_ends, ("x", "y"))
         rep.add(f"CO3[{label}]", witness is None, witness)
 
-    # both existence checks compare objects by leq_r, as object_leq does
+    # both existence checks compare objects by leq_r
     found = _restriction_witness(t, dom, r, r, objects)
     rep.add("EC2[restriction-exists-unique]", found is None,
             found and {"e": found[1], "x": found[0], "candidates": found[2]})
@@ -126,7 +72,7 @@ def verify_axioms(C) -> VerificationReport:
 
     witness = first_witness((r != l)[np.ix_(objects, objects)], ("e", "f"), e=objects, f=objects)
     rep.add("EC4[object-orders-agree]", witness is None, witness)
-    witness = _meet_witness(r, objects, _meets(C, objects, objects))
+    witness = _meet_witness(r, objects, _meets(ES, objects, objects))
     rep.add("EC5[object-meets]", witness is None, witness)
 
     rl = exact_matmul(r, l) > 0
@@ -135,22 +81,22 @@ def verify_axioms(C) -> VerificationReport:
     rep.add("EC6[order-commutation]", witness is None, witness)
 
     # EC8 is EC7 for the opposite category: transposed table, dom for cod, leq_l
-    witness = _monotone_witness(t, _meets(C, cod, objects), r, objects)
+    witness = _monotone_witness(t, _meets(ES, cod, objects), r, objects)
     rep.add("EC7[corestriction-monotone]", witness is None, witness)
-    witness = _monotone_witness(t.T, _meets(C, dom, objects), l, objects)
+    witness = _monotone_witness(t.T, _meets(ES, dom, objects), l, objects)
     rep.add("EC8[restriction-monotone]", witness is None, witness)
 
     return rep
 
 
-def _meets(C, left, right):
-    """The object meets left[i] ^ right[j] = table[left[i], right[j]]; KeyError for a non-object."""
-    is_object = np.isin(np.arange(C.n), C.objects)
+def _meets(ES, left, right):
+    """The object meets left[i] ^ right[j] = left[i] * right[j]; KeyError for a non-object."""
+    is_object = np.isin(np.arange(ES.n), ES.E)
     outside = ~(is_object[left][:, None] & is_object[right])
     missing = first_witness(outside, ("e", "f"), e=left, f=right)
     if missing:
         raise KeyError((missing["e"], missing["f"]))
-    return C.table[left[:, None], right]
+    return ES.S.table[left[:, None], right]
 
 
 def _identity_witness(t, dom, cod, objects):
@@ -238,7 +184,7 @@ def _monotone_witness(t, end_meets, leq, objects):
     return None
 
 
-def rebuild_semigroup(C):
+def rebuild_semigroup(ES):
     """Recover the Ehresmann structure on the morphism set via the pseudo-product.
 
     The resulting table is validated and the +/* maps re-derived from scratch,
@@ -246,19 +192,19 @@ def rebuild_semigroup(C):
     """
     from .ehresmann import derive_structure
 
-    t = C.table
-    m = _meets(C, C.cod, C.dom)  # cod(x) ^ dom(y)
-    arange = np.arange(C.n)
+    t = ES.S.table
+    m = _meets(ES, ES.star, ES.plus)  # cod(x) ^ dom(y)
+    arange = np.arange(ES.n)
     S = validate(t[t[arange[:, None], m], t[m, arange]])
-    return derive_structure(S, C.objects)
+    return derive_structure(S, ES.E)
 
 
-def category_to_json(C) -> dict:
+def category_to_json(ES) -> dict:
     """Dump format used by the CLI: objects, dom, cod and both order relations."""
     return {
-        "objects": list(C.objects),
-        "dom": C.dom.tolist(),
-        "cod": C.cod.tolist(),
-        "leq_r": np.argwhere(C.leq_r).tolist(),
-        "leq_l": np.argwhere(C.leq_l).tolist(),
+        "objects": list(ES.E),
+        "dom": ES.plus.tolist(),
+        "cod": ES.star.tolist(),
+        "leq_r": np.argwhere(ES.leq_r).tolist(),
+        "leq_l": np.argwhere(ES.leq_l).tolist(),
     }

@@ -104,7 +104,7 @@ def _run(args):
         _emit(args, lambda: {"derive_error": str(failure)}, False)
         return 1
     if args.emit_category:
-        _write(args.emit_category, categories.category_to_json(categories.build_category(ES)))
+        _write(args.emit_category, categories.category_to_json(ES))
     return args.func(args, ES)
 
 
@@ -128,7 +128,7 @@ def cmd_check(args, ES):
     rw = ehresmann.right_restriction_failure(ES)
     left, right = lw is None, rw is None
     containment = ehresmann.order_containment(ES)
-    axioms = categories.verify_axioms(categories.build_category(ES))
+    axioms = categories.verify_axioms(ES)
 
     _status(True, "ehresmann-structure", f"|S|={ES.n}, |E|={len(ES.E)}")
     _status(variety.passed, "variety-identities")

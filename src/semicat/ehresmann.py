@@ -83,9 +83,13 @@ def derive_structure(S, E) -> EhresmannStructure:
     p = _representatives("tilde-R", tilde.r_index, e)
     s = _representatives("tilde-L", tilde.l_index, e)
 
+    # (ab+)+ is column b+ of the gather (ab)+, and (a*b)* is row a* of (ab)*
     t = S.table
-    bad_plus = p[t] != p[t[:, p]]    # (ab)+ != (ab+)+
-    bad_star = s[t] != s[t[s, :]]    # (ab)* != (a*b)*
+    xy = p[t]
+    bad_plus = xy != xy[:, p]    # (ab)+ != (ab+)+
+    xy = s[t]
+    bad_star = xy != xy[s, :]    # (ab)* != (a*b)*
+    del xy
     bad = first_witness(bad_plus | bad_star, ("a", "b"))
     if bad:
         a, b = bad["a"], bad["b"]
@@ -140,7 +144,7 @@ def _plus_failures(t, p):
     del pp
     xy = p[t]                   # (xy)+
     yield t[p[:, None], xy] != xy
-    yield xy != p[t[:, p]]
+    yield xy != xy[:, p]        # (xy+)+ is column y+ of (xy)+
 
 
 def check_variety(S, plus, star) -> VerificationReport:

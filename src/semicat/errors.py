@@ -56,12 +56,6 @@ class NotAPosetError(SemicatError):
         self.witness = witness
 
 
-class NotComposableError(SemicatError):
-    def __init__(self, x, y):
-        super().__init__(f"morphisms {x} and {y} are not composable")
-        self.pair = (x, y)
-
-
 class NotEIError(SemicatError):
     def __init__(self, witness):
         super().__init__(f"category is not EI; witness endomorphism {witness}")

@@ -103,7 +103,7 @@ def moebius(P) -> np.ndarray:
 
 
 def order_poset(structure, order="r") -> FinitePoset:
-    """The natural order of a structure or category as a poset (P.down, P.mu), kept per order."""
+    """The natural order of a structure as a poset (P.down, P.mu), kept per order."""
     if order not in ("r", "l"):
         raise ValueError("order must be 'r' or 'l'")
     leq = structure.leq_r if order == "r" else structure.leq_l

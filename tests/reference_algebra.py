@@ -5,9 +5,10 @@ coefficient dicts, and the hom sweep counts products in integers.  What is
 here computes the same objects one term at a time, over exact rationals:
 elements of the semigroup algebra QS and the category algebra QC with their
 sums, products and unit; the poset sums f Z and g M (sum_down, invert);
-down-sets and intervals read from a poset's down-set index; restriction and
-corestriction in a category; and the inverse-semigroup test.  The tests check
-semicat against these and these against the paper's identities.
+down-sets and intervals read from a poset's down-set index; a structure's
+category under its own names, with restriction and corestriction in it; and
+the inverse-semigroup test.  The tests check semicat against these and these
+against the paper's identities.
 """
 
 from fractions import Fraction
@@ -119,12 +120,12 @@ def mul_semigroup(ES, u, v) -> AlgebraElement:
     return element(SEMIGROUP, mul_partial(ES.S.table, one_object, one_object, u.coeffs, v.coeffs))
 
 
-def mul_category(C, u, v) -> AlgebraElement:
-    """Bilinear extension of composition, with non-composable pairs mapped to 0."""
+def mul_category(ES, u, v) -> AlgebraElement:
+    """Bilinear extension of composition in ES's category; non-composable pairs map to 0."""
     if u.basis != CATEGORY:
         raise BasisMismatchError(CATEGORY, u.basis)
     u._check(v)
-    return element(CATEGORY, mul_partial(C.table, C.cod, C.dom, u.coeffs, v.coeffs))
+    return element(CATEGORY, mul_partial(ES.S.table, ES.star, ES.plus, u.coeffs, v.coeffs))
 
 
 def unit(ES) -> AlgebraElement:
@@ -159,20 +160,39 @@ def invert(P, g, mu=None):
     return (np.array([Fraction(v) for v in g], dtype=object) @ mu).tolist()
 
 
-def restriction(C, e, x):
+class Category:
+    """The category of ES under its own names: ES's arrays, read another way.
+
+    The objects are E, x runs from dom(x) = x+ to cod(x) = x*, and x, y
+    compose to the table entry xy when cod(x) = dom(y).
+    """
+
+    def __init__(self, ES):
+        self.n, self.objects, self.table = ES.n, ES.E, ES.S.table
+        self.dom, self.cod, self.leq_r, self.leq_l = ES.plus, ES.star, ES.leq_r, ES.leq_l
+
+    def composable(self, x, y):
+        return bool(self.cod[x] == self.dom[y])
+
+    def object_leq(self, e, f):
+        """e <= f in the semilattice of objects, read from <=_r."""
+        return bool(self.leq_r[e, f])
+
+
+def restriction(ES, e, x):
     """(e | x): the unique y <=_r x with dom(y) = e, realized as the product e*x."""
-    check_indices(C.n, (x,), "morphism")
-    if e not in C.objects or not C.object_leq(e, C.dom[x]):
+    check_indices(ES.n, (x,), "morphism")
+    if e not in ES.E or not ES.leq_r[e, ES.plus[x]]:
         raise NotBelowDomainError(e, x)
-    return int(C.table[e, x])
+    return int(ES.S.table[e, x])
 
 
-def corestriction(C, x, e):
+def corestriction(ES, x, e):
     """(x | e): the unique y <=_l x with cod(y) = e, realized as the product x*e."""
-    check_indices(C.n, (x,), "morphism")
-    if e not in C.objects or not C.object_leq(e, C.cod[x]):
+    check_indices(ES.n, (x,), "morphism")
+    if e not in ES.E or not ES.leq_r[e, ES.star[x]]:
         raise NotBelowRangeError(x, e)
-    return int(C.table[x, e])
+    return int(ES.S.table[x, e])
 
 
 def is_inverse(S) -> bool:

@@ -346,6 +346,24 @@ GOLDEN_STDOUT = {
 }
 
 
+# SHA-256 of the --emit-category bytes of `semicat check --zoo <spec>`, recorded
+# while the dump was still read from a separate category object.
+GOLDEN_CATEGORIES = {
+    "six": "b43e5636cf66fb4e383a5d9c527d53e747f3a8732f03752edf91994f72a9a4ae",
+    "b:2": "91217aa4e6b43be8429e5947bcbf4588ba17920da7f8b723922a6669aa6c98a5",
+    "pt:3": "935782ad36a012793d71495ea548097258f4d78c105bf915a9a67dc624e38dc7",
+    "op:4": "ee68eb8570ab0af417ba98b3a0f28920eba3a682f9239c15ddf27a905eb38064",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(GOLDEN_CATEGORIES))
+def test_category_dump_bytes_match_golden_digest(tmp_path, capsys, spec):
+    path = tmp_path / "cat.json"
+    code, _, _ = run(capsys, "check", "--zoo", spec, "--emit-category", str(path))
+    assert code == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_CATEGORIES[spec]
+
+
 @pytest.mark.parametrize("command,spec", sorted(GOLDEN_STDOUT))
 def test_stdout_bytes_match_golden_digest(capsys, command, spec):
     code, out, _ = run(capsys, command, "--zoo", spec)
@@ -514,12 +532,12 @@ def test_each_command_computes_the_tilde_classes_once(monkeypatch, capsys, comma
 
 
 def test_rep_builds_the_category_and_ei_report_once(monkeypatch, capsys, tmp_path):
-    # rep reads the structure alone: only --emit-category builds the category
+    # rep reads the structure alone: only --emit-category reads the category off it
     calls = []
-    ei, init = reptheory._ei_report, categories.EhresmannCategory.__init__
+    ei, dump = reptheory._ei_report, categories.category_to_json
     monkeypatch.setattr(reptheory, "_ei_report", lambda ES: calls.append("ei") or ei(ES))
-    monkeypatch.setattr(categories.EhresmannCategory, "__init__",
-                        lambda C, *args, **kw: calls.append("category") or init(C, *args, **kw))
+    monkeypatch.setattr(categories, "category_to_json",
+                        lambda ES: calls.append("category") or dump(ES))
     code, _, _ = run(capsys, "rep", "--zoo", "op:3")
     assert code == 0
     assert calls == ["ei"]

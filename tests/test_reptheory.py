@@ -8,9 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference_algebra import is_inverse
+from reference_algebra import Category, is_inverse
 from semicat import (
-    build_category,
     derive_structure,
     ei_report,
     from_interchange,
@@ -57,7 +56,7 @@ def brute_force_invertibles(es, C):
 
 
 def test_invertibles_pt2_are_the_partial_injections(pt2):
-    C = build_category(pt2)
+    C = Category(pt2)
     inv = invertible_morphisms(pt2)
     assert inv == brute_force_invertibles(pt2, C)
     assert len(inv) == 7
@@ -81,7 +80,7 @@ def test_b2_counterexample_element_is_not_invertible(b2):
 
 def test_invertibles_match_brute_force_everywhere(zoo_members):
     for es in zoo_members.values():
-        C = build_category(es)
+        C = Category(es)
         assert invertible_morphisms(es) == brute_force_invertibles(es, C)
 
 
@@ -259,7 +258,7 @@ def oracle_and_basis(table, defined):
 def test_radical_oracle_matches_the_dict_route_on_the_zoo(zoo_members):
     members = {**zoo_members, "t:3": zoo.parse_zoo_spec("t:3"), "op:4": zoo.parse_zoo_spec("op:4")}
     for name, es in members.items():
-        C = build_category(es)
+        C = Category(es)
         assert oracle_and_basis(es.S.table, all_defined(es.n)) == \
             reference_radical_oracle(es.n, reference_semigroup_mul(es.S)), name
         assert oracle_and_basis(C.table, composable(C)) == \
@@ -298,7 +297,7 @@ def test_radical_oracle_ranks_only_the_nonzero_block_of_the_trace_form(zoo_membe
     assert {kind for kind, _ in seen} == {list}  # rows, as the benchmark's span counter reads them
     monkeypatch.undo()
     for name, es in {**zoo_members, "op:4": op4}.items():
-        C = build_category(es)
+        C = Category(es)
         for table, defined in [(es.S.table, all_defined(es.n)), (C.table, composable(C))]:
             full = reptheory._trace_form(table, defined).tolist()
             assert radical_oracle(table, defined) == len(table) - rank(full), name
@@ -378,7 +377,7 @@ def test_radical_oracle_group_algebras_semisimple():
 
 def test_radical_oracle_groupoid_category(i2, ssl):
     for es in (i2, ssl):
-        C = build_category(es)
+        C = Category(es)
         dim = radical_oracle(C.table, composable(C))
         assert dim == 0
 
@@ -675,7 +674,7 @@ def test_reg_e_and_ei_report_match_the_loops(zoo_members):
 def test_radical_span_matches_the_loops(zoo_members):
     kinds = set()
     for es in list(zoo_members.values()) + list(structure_mutants(zoo_members, 42, 72)):
-        C = build_category(es)
+        C = Category(es)
         got = outcome(radical_span, es)
         assert got == outcome(reference_radical_span, es, C)
         kinds.add(kind_of(got) if kind_of(got) != "ok" else ("ok", got.ideal_witness is None))

@@ -9,7 +9,6 @@ import pytest
 
 from reference_algebra import is_inverse
 from semicat import (
-    build_category,
     derive_structure,
     ei_report,
     left_restriction_failure,
@@ -113,16 +112,15 @@ def test_six_element_classes_meet_e_once(six):
 
 
 def test_six_element_category_matches_drawing(six):
-    C = build_category(six)
-    assert len(C.objects) == 3
+    assert len(six.E) == 3
     rep = ei_report(six)
     assert rep.is_ei
     non_identity = [a for a in range(6) if a not in six.E]
     assert len(non_identity) == 3
     # arrows: (1,2): (1,id) -> (1,1); (2,1): (1,1) -> (id,1); (2,2): (1,id) -> (id,1)
-    assert (C.dom[2], C.cod[2]) == (4, 0)
-    assert (C.dom[1], C.cod[1]) == (0, 5)
-    assert (C.dom[3], C.cod[3]) == (4, 5)
+    assert (six.plus[2], six.star[2]) == (4, 0)
+    assert (six.plus[1], six.star[1]) == (0, 5)
+    assert (six.plus[3], six.star[3]) == (4, 5)
     assert rep.endomorphism_counts == {0: 1, 4: 1, 5: 1}
 
 
