@@ -62,13 +62,6 @@ class NotEIError(SemicatError):
         self.witness = witness
 
 
-class IncompatibleMapsError(SemicatError):
-    def __init__(self, detail, witness):
-        super().__init__(f"connecting homomorphisms invalid: {detail} at {witness}")
-        self.detail = detail
-        self.witness = witness
-
-
 class InconsistentComputationError(SemicatError):
     """Two independent routes to the same value disagreed; implementation bug."""
 

@@ -235,7 +235,7 @@ def class_ids(keys):
 
 def pair_ids(a, b):
     """class_ids of the pairs (a[i], b[i]) of non-negative integers, each packed into one key."""
-    return class_ids(a * (b.max() + 1) + b)
+    return class_ids(a * (b.max(initial=0) + 1) + b)
 
 
 def group_keys(keys, size=0):

@@ -437,6 +437,15 @@ def test_verify_axioms_reports_as_the_loops_do_on_single_field_mutants(zoo_membe
     assert failed == {c["name"] for c in expect["checks"]}
 
 
+@pytest.mark.parametrize("order", ["leq_r", "leq_l"])
+def test_an_empty_order_fails_reflexivity_as_the_loops_do(zoo_members, order):
+    # CO2 numbers the pairs of an empty order: no pair, so no largest key
+    for name in ("pt:2", "six", "z:3"):
+        es = zoo_members[name]
+        ES = replaced(es, **{order: np.zeros((es.n, es.n), dtype=bool)})
+        assert printed(verify_axioms(ES)) == printed(reference_verify_axioms(Category(ES))), name
+
+
 def associativity(ES):
     return verify_axioms(ES)["category[associativity]"]
 
