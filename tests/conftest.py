@@ -1,7 +1,9 @@
 import pytest
 
-from semicat import derive_structure, idempotents, reg_e, subsemigroup
 from semicat import zoo
+from semicat.ehresmann import derive_structure
+from semicat.reptheory import reg_e
+from semicat.semigroups import idempotents, subsemigroup
 
 
 @pytest.fixture(scope="session")

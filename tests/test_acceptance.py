@@ -11,23 +11,24 @@ from fractions import Fraction
 import numpy as np
 
 from reference_algebra import element, interval, invert, is_inverse, mul_category, sum_down
-from semicat import (
+from semicat import zoo
+from semicat.algebras import phi, verify_isomorphism
+from semicat.categories import rebuild_semigroup
+from semicat.ehresmann import (
     check_variety,
     derive_structure,
+    left_restriction_failure,
+    right_restriction_failure,
+)
+from semicat.posets import moebius
+from semicat.reptheory import (
     ei_report,
     invertible_morphisms,
-    left_restriction_failure,
-    moebius,
-    phi,
     radical_oracle,
     radical_span,
-    rebuild_semigroup,
-    right_restriction_failure,
     semisimple_image_check,
-    subsemilattice_violation,
-    verify_isomorphism,
 )
-from semicat import zoo
+from semicat.semigroups import subsemilattice_violation
 from test_posets import random_poset
 
 

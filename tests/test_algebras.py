@@ -16,24 +16,11 @@ from reference_algebra import (
     mul_semigroup,
     unit,
 )
-from semicat import (
-    algebras,
-    categories,
-    derive_structure,
-    format_element,
-    linalg,
-    phi,
-    posets,
-    psi,
-    reptheory,
-    semigroups,
-    subsemigroup,
-    verify_isomorphism,
-    zoo,
-)
+from semicat import algebras, categories, linalg, posets, reptheory, semigroups, zoo
+from semicat.algebras import format_element, phi, psi, verify_isomorphism
 from semicat.cli import main
-from semicat.ehresmann import EhresmannStructure
-from semicat.semigroups import FiniteSemigroup
+from semicat.ehresmann import EhresmannStructure, derive_structure
+from semicat.semigroups import FiniteSemigroup, subsemigroup
 
 A, B, EMPTY = 3, 1, 0  # in B_2: {(1,1),(1,2)}, {(1,1)}, {}
 

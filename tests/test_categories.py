@@ -10,17 +10,17 @@ from reference_algebra import (
     corestriction,
     restriction,
 )
-from semicat import (
-    EhresmannStructure,
-    derive_structure,
-    rebuild_semigroup,
-    validate,
-    verify_axioms,
-)
 from semicat import zoo
+from semicat.categories import rebuild_semigroup, verify_axioms
+from semicat.ehresmann import EhresmannStructure, derive_structure
 from semicat.errors import SemicatError
 from semicat.reports import VerificationReport
-from semicat.semigroups import FiniteSemigroup, associativity_failure, associativity_witness
+from semicat.semigroups import (
+    FiniteSemigroup,
+    associativity_failure,
+    associativity_witness,
+    validate,
+)
 
 
 def replaced(ES, table=None, **changes):

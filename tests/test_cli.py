@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 
 from semicat import (
-    algebras, categories, cli, ehresmann, posets, reports, reptheory, semigroups, to_interchange)
-from semicat import zoo
+    algebras, categories, cli, ehresmann, posets, reports, reptheory, semigroups, zoo)
 from semicat.cli import main
 from semicat.reports import jsonable
+from semicat.semigroups import to_interchange
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 

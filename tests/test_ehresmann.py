@@ -7,21 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semicat import (
+from semicat import ehresmann, zoo
+from semicat.ehresmann import (
+    EhresmannStructure,
     check_variety,
     derive_structure,
-    green,
-    idempotents,
     left_restriction_failure,
     maximal_subsemilattices,
     order_containment,
     right_restriction_failure,
-    subsemilattice_violation,
     tilde_relations,
-    validate,
 )
-from semicat import ehresmann, zoo
-from semicat.ehresmann import EhresmannStructure
 from semicat.errors import (
     ClassWithoutIdempotentError,
     CongruenceError,
@@ -29,7 +25,14 @@ from semicat.errors import (
     SemicatError,
 )
 from semicat.reports import VerificationReport
-from semicat.semigroups import FiniteSemigroup, class_members
+from semicat.semigroups import (
+    FiniteSemigroup,
+    class_members,
+    green,
+    idempotents,
+    subsemilattice_violation,
+    validate,
+)
 
 
 def test_no_tilde_class_holds_two_members_of_e(zoo_members):

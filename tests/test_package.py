@@ -4,29 +4,41 @@ import os
 import re
 import subprocess
 import sys
-import types
 
 import pytest
 
 import semicat
 from reference_algebra import element
-from semicat import to_interchange, zoo
+from semicat import algebras, categories, ehresmann, posets, reptheory, semigroups, zoo
 from semicat.reports import record_json
+from semicat.semigroups import to_interchange
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-PUBLIC = [
-    "EIReport", "EhresmannStructure", "FinitePoset", "FiniteSemigroup",
-    "GreenData", "RegESet", "VerificationReport", "algebras", "categories",
-    "category_to_json", "check_variety", "derive_structure", "ehresmann", "ei_report",
-    "errors", "format_element", "from_interchange", "green", "idempotents", "identity_of",
-    "invertible_morphisms", "left_restriction_failure", "linalg", "maximal_subsemilattices",
-    "moebius", "opposite", "order_containment", "order_poset", "phi", "posets", "product",
-    "psi", "radical_oracle", "radical_span", "rebuild_semigroup", "reg_e", "reports",
-    "reptheory", "right_restriction_failure", "semigroups", "semisimple_image_check",
-    "subsemigroup", "subsemilattice_violation", "tilde_relations", "to_interchange",
-    "validate", "verify_axioms", "verify_isomorphism", "zoo",
-]
+# module -> the public functions and classes it defines, sorted
+PUBLIC = {
+    "algebras": "IsoReport format_element phi psi verify_isomorphism",
+    "categories": "category_to_json rebuild_semigroup verify_axioms",
+    "cli": "InputError build_parser cmd_check cmd_iso cmd_rep console main",
+    "ehresmann": "EhresmannStructure OrderContainment TildeClasses check_variety derive_structure "
+                 "left_restriction_failure maximal_subsemilattices order_containment "
+                 "right_restriction_failure tilde_relations",
+    "errors": "ClassWithoutIdempotentError CongruenceError InconsistentComputationError "
+              "NotAPosetError NotAssociativeError NotClosedError NotEIError "
+              "NotSubsemilatticeError OutOfRangeError SemicatError",
+    "linalg": "abs_max exact_matmul nullspace rank",
+    "posets": "FinitePoset down_sets moebius order_poset poset_violation",
+    "reports": "CheckResult VerificationReport first_witness jsonable record_json",
+    "reptheory": "EIReport RadicalReport RegESet SemisimpleReport ei_report invertible_morphisms "
+                 "radical_oracle radical_span reg_e semisimple_image_check",
+    "semigroups": "FiniteSemigroup GreenData associativity_failure associativity_witness "
+                  "check_indices class_ids class_members concat_ranges freeze_fields "
+                  "from_interchange generators green group_keys idempotents identity_of kept "
+                  "opposite pair_ids product read_only subsemigroup subsemilattice_violation "
+                  "to_interchange validate",
+    "zoo": "b_n cyclic_group monoid_as_trivial_e order_preserving_pt parse_zoo_spec pt_n "
+           "relation_mask six_element_example t_n",
+}
 
 # Runs argv[1] and prints, as its last line, the semicat modules whose code ran:
 # a module's code runs in a frame named <module> compiled from the module's file.
@@ -59,19 +71,22 @@ def executed(code, cwd):
 
 
 def test_public_names_are_pinned_and_are_their_defining_objects():
-    assert semicat.__all__ == PUBLIC
-    assert set(PUBLIC) <= set(dir(semicat))
-    for name in PUBLIC:
-        obj = getattr(semicat, name)
-        if isinstance(obj, types.ModuleType):
-            assert obj is sys.modules[f"semicat.{name}"]
-        else:
-            assert obj is getattr(sys.modules[obj.__module__], name)
-    star = {}
-    exec("from semicat import *", star)
-    assert sorted(set(star) - {"__builtins__"}) == PUBLIC
+    for module, names in PUBLIC.items():
+        mod = importlib.import_module(f"semicat.{module}")
+        assert getattr(semicat, module) is mod is sys.modules[mod.__name__]
+        defined = [name for name, obj in vars(mod).items()
+                   if not name.startswith("_") and getattr(obj, "__module__", None) == mod.__name__]
+        assert sorted(defined) == names.split(), module
     with pytest.raises(AttributeError, match="no_such_name"):
         semicat.no_such_name
+
+
+def test_the_package_defines_no_names_of_its_own(tmp_path):
+    # importing the package runs no module and no numpy, and a name is read from its module
+    bare = "import semicat; assert 'numpy' not in sys.modules; assert not hasattr(semicat, 'phi')"
+    assert executed(bare, tmp_path) == set()
+    used = "import semicat; from semicat.algebras import phi; semicat.zoo.parse_zoo_spec('pt:2')"
+    assert {"algebras", "zoo"} <= executed(used, tmp_path)
 
 
 def test_each_path_executes_only_the_modules_it_runs(tmp_path, pt2):
@@ -116,20 +131,20 @@ def test_each_path_executes_only_the_modules_it_runs(tmp_path, pt2):
 # class name -> how to build one instance from a fresh pt:2, and whether it compares by value
 INSTANCES = {
     "FiniteSemigroup": (lambda es: es.S, False),
-    "GreenData": (lambda es: semicat.green(es.S), False),
-    "FinitePoset": (lambda es: semicat.order_poset(es), False),
+    "GreenData": (lambda es: semigroups.green(es.S), False),
+    "FinitePoset": (lambda es: posets.order_poset(es), False),
     "EhresmannStructure": (lambda es: es, False),
-    "TildeClasses": (lambda es: semicat.tilde_relations(es.S, es.E), False),
+    "TildeClasses": (lambda es: ehresmann.tilde_relations(es.S, es.E), False),
     # the reference algebra element of the tests, held to the same contract as the records
     "AlgebraElement": (lambda es: element("semigroup", {0: 1, es.n - 1: -2}), True),
-    "VerificationReport": (lambda es: semicat.verify_axioms(es), True),
-    "CheckResult": (lambda es: semicat.verify_axioms(es).checks[0], True),
-    "OrderContainment": (lambda es: semicat.order_containment(es), True),
-    "RegESet": (lambda es: semicat.reg_e(es), True),
-    "EIReport": (lambda es: semicat.ei_report(es), True),
-    "RadicalReport": (lambda es: semicat.radical_span(es), True),
-    "SemisimpleReport": (lambda es: semicat.semisimple_image_check(es), True),
-    "IsoReport": (lambda es: semicat.verify_isomorphism(es), True),
+    "VerificationReport": (lambda es: categories.verify_axioms(es), True),
+    "CheckResult": (lambda es: categories.verify_axioms(es).checks[0], True),
+    "OrderContainment": (lambda es: ehresmann.order_containment(es), True),
+    "RegESet": (lambda es: reptheory.reg_e(es), True),
+    "EIReport": (lambda es: reptheory.ei_report(es), True),
+    "RadicalReport": (lambda es: reptheory.radical_span(es), True),
+    "SemisimpleReport": (lambda es: reptheory.semisimple_image_check(es), True),
+    "IsoReport": (lambda es: algebras.verify_isomorphism(es), True),
 }
 
 # the keys record_json writes for each record, in order: its fields as they were declared
@@ -204,6 +219,12 @@ def test_readme_quick_tour_runs():
     done = subprocess.run([sys.executable, "-c", tour], env=fresh_env(),
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def test_version_is_printed():
+    done = subprocess.run([sys.executable, "-m", "semicat", "--version"], env=fresh_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "semicat 0.1.0\n", "")
 
 
 def test_console_script_exits_with_the_verdict(monkeypatch, capsys):

@@ -5,17 +5,11 @@ import numpy as np
 import pytest
 
 from reference_algebra import below, interval, invert, sum_down
-from semicat import (
-    FinitePoset,
-    moebius,
-    order_poset,
-    psi,
-    semisimple_image_check,
-    verify_isomorphism,
-    zoo,
-)
-from semicat import posets
+from semicat import posets, zoo
+from semicat.algebras import psi, verify_isomorphism
 from semicat.errors import InconsistentComputationError, NotAPosetError
+from semicat.posets import FinitePoset, moebius, order_poset
+from semicat.reptheory import semisimple_image_check
 
 
 def poset_from_matrix(leq):

@@ -9,21 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference_algebra import Category, is_inverse
-from semicat import (
-    derive_structure,
-    ei_report,
-    from_interchange,
-    green,
-    invertible_morphisms,
-    psi,
-    radical_oracle,
-    radical_span,
-    reg_e,
-    semisimple_image_check,
-    validate,
-)
 from semicat import cli, reptheory, zoo
-from semicat.ehresmann import EhresmannStructure
+from semicat.algebras import psi
+from semicat.ehresmann import EhresmannStructure, derive_structure
 from semicat.errors import (
     InconsistentComputationError,
     NotClosedError,
@@ -31,8 +19,18 @@ from semicat.errors import (
     SemicatError,
 )
 from semicat.linalg import nullspace, rank
-from semicat.reptheory import EIReport, RadicalReport, RegESet
-from semicat.semigroups import FiniteSemigroup
+from semicat.reptheory import (
+    EIReport,
+    RadicalReport,
+    RegESet,
+    ei_report,
+    invertible_morphisms,
+    radical_oracle,
+    radical_span,
+    reg_e,
+    semisimple_image_check,
+)
+from semicat.semigroups import FiniteSemigroup, from_interchange, green, validate
 from test_ehresmann import reference_tilde_relations
 from test_linalg import rational_rank
 from test_semigroups import reference_green
@@ -195,7 +193,7 @@ def test_object_iso_classes_match_union_find(zoo_members):
 
 
 def test_groupoid_iff_inverse_with_full_idempotents(zoo_members):
-    from semicat import idempotents
+    from semicat.semigroups import idempotents
 
     for es in zoo_members.values():
         rep = ei_report(es)

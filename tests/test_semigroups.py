@@ -7,7 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference_algebra import is_inverse
-from semicat import (
+from semicat import semigroups, zoo
+from semicat.errors import NotAssociativeError, NotClosedError, OutOfRangeError
+from semicat.semigroups import (
+    FiniteSemigroup,
     from_interchange,
     green,
     idempotents,
@@ -19,9 +22,6 @@ from semicat import (
     to_interchange,
     validate,
 )
-from semicat import semigroups, zoo
-from semicat.errors import NotAssociativeError, NotClosedError, OutOfRangeError
-from semicat.semigroups import FiniteSemigroup
 
 Z2 = [[0, 1], [1, 0]]
 LEFT_ZERO = [[0, 0], [1, 1]]

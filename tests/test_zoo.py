@@ -9,18 +9,11 @@ import numpy as np
 import pytest
 
 from reference_algebra import is_inverse
-from semicat import (
-    derive_structure,
-    ei_report,
-    left_restriction_failure,
-    right_restriction_failure,
-    subsemigroup,
-    subsemilattice_violation,
-    to_interchange,
-    validate,
-)
 from semicat import zoo
+from semicat.ehresmann import derive_structure, left_restriction_failure, right_restriction_failure
 from semicat.errors import NotClosedError
+from semicat.reptheory import ei_report
+from semicat.semigroups import subsemigroup, subsemilattice_violation, to_interchange, validate
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "data" / "classification_golden.json").read_text()
@@ -104,7 +97,7 @@ def test_six_element_table_matches_the_multiplication_rules(six):
 
 
 def test_six_element_classes_meet_e_once(six):
-    from semicat import tilde_relations
+    from semicat.ehresmann import tilde_relations
 
     tilde = tilde_relations(six.S, six.E)
     eset = set(six.E)
@@ -300,7 +293,7 @@ def test_long_ssl_chains_are_rejected_before_building(monkeypatch):
 
 
 def test_every_member_dumps_to_interchange(zoo_members):
-    from semicat import from_interchange
+    from semicat.semigroups import from_interchange
 
     for es in zoo_members.values():
         S, E = from_interchange(to_interchange(es.S, es.E))
