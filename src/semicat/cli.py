@@ -188,7 +188,7 @@ def cmd_iso(args, ES):
 def cmd_rep(args, ES):
     ei = reptheory.ei_report(ES)
     # computes Reg_E and the radical of QS once for the whole report
-    semi = reptheory.semisimple_image_check(ES, order=args.order)
+    semi = reptheory.semisimple_image_check(ES)
     _status(True, "reg_e", f"size {semi.reg_size}, inverse subsemigroup verified")
     _status(True, "is_EI", str(ei.is_ei))
     print(f"INFO  radical_dim(QS) = {semi.radical_dim_s}")
@@ -238,7 +238,8 @@ def build_parser():
     src.add_argument("--input", help="path to a semigroup interchange JSON file")
     src.add_argument("--zoo", help="zoo spec: pt:N, b:N, t:N, op:N, z:N, six, ssl:chainK:z2,z3")
     common.add_argument("--order", choices=("r", "l"), default="r",
-                        help="natural order used for phi/psi (default r)")
+                        help="natural order of iso's phi/psi (default r); check and rep "
+                             "record it in the report's config only")
     common.add_argument("--report", help="write a JSON report to this path")
     common.add_argument("--workers", type=int, default=1,
                         help="accepted for compatibility (>= 1) and recorded in the "

@@ -54,6 +54,7 @@ class TildeClasses:
     def __init__(self, r_index, l_index, h_index):
         # element -> class id, classes numbered by least member
         vars(self).update(r_index=r_index, l_index=l_index, h_index=h_index)
+        freeze_fields(self, r_index=np.int64, l_index=np.int64, h_index=np.int64)
 
     def classes(self, which):
         return class_members(getattr(self, which + "_index"))

@@ -279,7 +279,7 @@ class SemisimpleReport(namedtuple("SemisimpleReport", [
                            radical_dim_s="radical_dim")
 
 
-def semisimple_image_check(ES, order="r") -> SemisimpleReport:
+def semisimple_image_check(ES) -> SemisimpleReport:
     """Verify that the span of Reg_E(S) realizes the maximal semisimple image.
 
     Checks, over the rationals: (i) dim Rad(QS) = |S| - |Reg_E(S)|; (ii) the
@@ -295,13 +295,12 @@ def semisimple_image_check(ES, order="r") -> SemisimpleReport:
     gives dim Rad(QS) <= n - |Reg_E| and (ii).  If either bound fails, as it
     may outside the theorem, both are computed by elimination.  Neither
     depends on the order, so psi is that of the order it is an isomorphism
-    for ("r" on a left restriction structure, "l" on a right one).  (iii) holds
-    for psi of either order once reg_e has verified that Reg_E is a down ideal
-    of both: a Moebius matrix vanishes off its order, so psi of a member is
-    supported on the members below it, and its Reg_E x Reg_E block is
-    unitriangular, so the image is all of QReg_E(S).  No second Moebius matrix
-    is computed; the chosen order, when it is not psi's, is only checked to be
-    a partial order.
+    for, which the structure fixes: "l" on a right restriction structure that
+    is not left restriction, "r" otherwise.  (iii) holds for psi of either
+    order once reg_e has verified that Reg_E is a down ideal of both: a
+    Moebius matrix vanishes off its order, so psi of a member is supported on
+    the members below it, and its Reg_E x Reg_E block is unitriangular, so the
+    image is all of QReg_E(S).
 
     The conclusion is asserted only under the hypotheses "left or right
     restriction" and "EI".  Outside them the raw quantities are still computed
@@ -316,8 +315,8 @@ def semisimple_image_check(ES, order="r") -> SemisimpleReport:
     n = ES.n
     rest = np.delete(np.arange(n), reg)
     # column x of the Moebius matrix holds the coefficients of psi(x)
-    iso_order = "r" if left else "l" if right else order
-    mu = order_poset(ES, iso_order).mu  # made before the form, so their peaks do not add
+    order = "l" if right and not left else "r"  # the order psi is an isomorphism for
+    mu = order_poset(ES, order).mu  # made before the form, so their peaks do not add
     form = _trace_form(ES.S.table, True)  # QS's radical equations: every product is defined
     if (not exact_matmul(form, mu[:, rest]).any()
             and rank(list(form[np.ix_(reg, reg)])) == len(reg)):
@@ -327,8 +326,6 @@ def semisimple_image_check(ES, order="r") -> SemisimpleReport:
         # the radical meets span{e_r : r in Reg_E} only in 0 iff those columns have full rank
         projection_full_rank = rank(list(form[:, reg])) == len(reg)
     dims_match = rad_dim == n - len(reg)
-    if order != iso_order:
-        order_poset(ES, order)  # psi of the chosen order needs it to be a partial order
     # psi(x) for x in Reg_E is supported on the y <= x, as Moebius values vanish off the
     # order, and reg_e's down-ideal check raised unless every such y is in Reg_E
     in_span = True

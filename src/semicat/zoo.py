@@ -96,14 +96,6 @@ def t_n(n) -> FiniteSemigroup:
     return _maps_semigroup(_all_vectors(n, n), n)
 
 
-def _subsets(points):
-    points = list(points)
-    out = [frozenset()]
-    for p in points:
-        out += [s | {p} for s in out]
-    return sorted(out, key=lambda s: (len(s), sorted(s)))
-
-
 def _relation_name(mask, n):
     pairs = [(i + 1, j + 1) for i in range(n) for j in range(n) if mask >> (i * n + j) & 1]
     if not pairs:
@@ -125,8 +117,9 @@ def b_n(n) -> EhresmannStructure:
         table += reached @ (1 << bit[i])
     names = tuple(_relation_name(m, n) for m in range(size))
     S = validate(table, names)
-    identities = [sum(1 << (i * n + i) for i in A) for A in _subsets(range(n))]
-    return derive_structure(S, identities)
+    diagonal = int((1 << bit.diagonal()).sum())  # the identity relation
+    # the partial identities are the relations inside it: the submasks of its mask
+    return derive_structure(S, np.flatnonzero((np.arange(size) & ~diagonal) == 0).tolist())
 
 
 def relation_mask(pairs, n) -> int:

@@ -397,15 +397,27 @@ def test_rep_builds_each_trace_form_once(monkeypatch, capsys):
     assert calls == ["QS", "QC"]  # the semisimple check, then the radical span
 
 
+def built_posets(monkeypatch):
+    """The zeta matrices of the FinitePosets constructed from now on, in order."""
+    zetas = []
+    init = posets.FinitePoset.__init__
+    monkeypatch.setattr(posets.FinitePoset, "__init__",
+                        lambda P, zeta: zetas.append(np.asarray(zeta)) or init(P, zeta))
+    return zetas
+
+
 def test_rep_order_l_computes_one_moebius_matrix(monkeypatch, capsys):
     # psi's image lies in Reg_E's span because reg_e checked that Reg_E is a down ideal of
-    # both orders: the chosen order needs no Moebius matrix beside the one psi uses
+    # both orders, and op:4 is left restriction, so psi's order is <=_r whatever --order
+    # says: <=_l is neither built, nor inverted, nor checked to be a partial order
     calls = []
     original = posets.moebius
     monkeypatch.setattr(posets, "moebius", lambda P: calls.append(P.m) or original(P))
+    zetas = built_posets(monkeypatch)
     code, _, _ = run(capsys, "rep", "--zoo", "op:4", "--order", "l")
     assert code == 0
     assert calls == [192]
+    assert len(zetas) == 1 and np.array_equal(zetas[0], zoo.parse_zoo_spec("op:4").leq_r)
 
 
 def test_rep_computes_green_and_invertibles_once(monkeypatch, capsys):
@@ -629,7 +641,9 @@ def test_rep_on_a_right_restriction_input_reads_psi_of_the_left_order(
     zetas = []
     original = posets.moebius
     monkeypatch.setattr(posets, "moebius", lambda P: zetas.append(P.zeta) or original(P))
+    built = built_posets(monkeypatch)
     report = tmp_path / "rep.json"
+    # the default --order r: <=_r is neither built nor checked to be a partial order
     code, _, _ = run(capsys, "rep", "--input", path, "--report", str(report))
     assert code == 0
     result = json.loads(report.read_text())["result"]
@@ -637,3 +651,21 @@ def test_rep_on_a_right_restriction_input_reads_psi_of_the_left_order(
     assert (result["semisimple"]["left_restriction"],
             result["semisimple"]["right_restriction"]) == (False, True)
     assert len(zetas) == 1 and np.array_equal(zetas[0], dual.leq_l)
+    assert len(built) == 1 and np.array_equal(built[0], dual.leq_l)
+
+
+def test_rep_writes_one_result_under_either_order(tmp_path, capsys, zoo_members):
+    # rep reads psi's order off the structure; --order is only recorded in the config
+    members = {**zoo_members, "op:4": zoo.parse_zoo_spec("op:4"), "t:3": zoo.parse_zoo_spec("t:3")}
+    for name, es in members.items():
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(to_interchange(es.S, es.E)))
+        runs = []
+        for order in ("r", "l"):
+            report = tmp_path / f"rep-{order}.json"
+            code, out, err = run(capsys, "rep", "--input", str(path), "--order", order,
+                                 "--report", str(report))
+            written = json.loads(report.read_text())
+            assert written["config"]["order"] == order
+            runs.append((code, out, err, written["passed"], written["result"]))
+        assert runs[0] == runs[1], name

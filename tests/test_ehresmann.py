@@ -64,6 +64,18 @@ def test_tilde_distinct_idempotents_never_related(pt2):
                 assert tilde.l_index[e] != tilde.l_index[f]
 
 
+def test_tilde_class_labels_are_read_only():
+    # derive_structure keeps its classes for ei_report's cross-check: neither
+    # that copy nor a fresh one can be changed in place
+    es = zoo.pt_n(2)
+    for tilde in (tilde_relations(es.S, es.E), vars(es)["_tilde"]):
+        for name in ("r_index", "l_index", "h_index"):
+            index = getattr(tilde, name)
+            assert index.dtype == np.int64 and not index.flags.writeable, name
+            with pytest.raises(ValueError):
+                index[0] = 1
+
+
 def test_tilde_total_maps_share_class(pt2):
     # oracle: compare left-identity sets computed directly
     t = pt2.S.table

@@ -2,6 +2,7 @@ import functools
 import json
 import random
 import re
+from itertools import combinations
 from itertools import product as iproduct
 from pathlib import Path
 
@@ -208,7 +209,11 @@ def reference_b_table(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_b_n_matches_loop_reference(n):
-    assert zoo.b_n(n).S.table.tolist() == reference_b_table(n)
+    es = zoo.b_n(n)
+    assert es.S.table.tolist() == reference_b_table(n)
+    # E: the partial identities, each the diagonal pairs (i, i) of a subset of the points
+    assert es.E == tuple(sorted(sum(1 << (i * n + i) for i in A)
+                                for k in range(n + 1) for A in combinations(range(n), k)))
 
 
 def test_order_preserving_pt3_is_closed_and_left_restriction(op3):
@@ -344,7 +349,7 @@ def reference_pt(n):
     S = validate(table, tuple(zoo._pt_name(v, n) for v in vectors))
     identities = [
         index[tuple(x if x in A else n for x in range(n))]
-        for A in zoo._subsets(range(n))
+        for k in range(n + 1) for A in combinations(range(n), k)
     ]
     return derive_structure(S, identities)
 
